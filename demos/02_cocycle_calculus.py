@@ -37,8 +37,10 @@ wa = ParamOmega(a)
 back = b_map(wa, (-3, 3))
 print("b_map recovers the parameters:", all(back.entry(n) == a.entry(n) for n in range(-3, 4)))
 
-# eta specs are the parameter sequences a_{2n} = s_n t^n; probing past the
-# stored bit window (here m = 7 would need s_4) raises WindowTooSmall
+# eta specs are the parameter sequences a_{2n} = s_n t^n; evaluate raises
+# WindowTooSmall when the bit window cannot reach the first degree (here
+# m = 7 would need s_4), and warns EmptyWindowWarning for a zero known only
+# below some t^P (m = 5 gives O(t^4))
 eta = Eta(F2, BitSeq((1, 0, 1)))
 for m in range(1, 7):
     print(f"  eta(t^0, t^{m}) =", evaluate(eta, one_term(F2, 0), one_term(F2, m)))

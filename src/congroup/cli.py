@@ -417,13 +417,17 @@ def cmd_classify(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    wanted = {int(v) for v in args.only.split(",")} if args.only else None
+    wanted = range(1, len(CRITERIA) + 1)
+    if args.only:
+        parts = [v.strip() for v in args.only.split(",")]
+        if not all(v.isdecimal() and 1 <= int(v) <= len(CRITERIA) for v in parts):
+            raise UsageError(f"--only takes comma-separated criterion numbers 1..{len(CRITERIA)}, got {args.only!r}")
+        wanted = sorted({int(v) for v in parts})
     results = []
-    for crit in CRITERIA:
-        res = crit(args.seed)
-        if wanted is None or res.number in wanted:
-            results.append(res)
-            print(res.line())
+    for n in wanted:
+        res = CRITERIA[n - 1](args.seed)
+        results.append(res)
+        print(res.line())
     if args.json:
         print(json.dumps({"format": 1, "results": [r.__dict__ for r in results]}, sort_keys=True))
     return 0 if all(r.passed for r in results) else 2

@@ -123,8 +123,8 @@ def eval_basis_omega(n: int, x: TruncSeries, y: TruncSeries) -> TruncSeries:
 
     Coefficient i is known iff i < prec_x and i + n < prec_y; exact inputs
     give an exact value (in particular an exact zero input annihilates).  An
-    empty known window warns EmptyWindowWarning and returns the zero at the
-    sound precision."""
+    empty known window returns the zero at the sound precision, silently;
+    :func:`evaluate` is where that is reported."""
     x._check_ring(y)
     if x.is_exact_zero() or y.is_exact_zero():
         return zero(x.ring)
@@ -140,7 +140,6 @@ def eval_basis_omega(n: int, x: TruncSeries, y: TruncSeries) -> TruncSeries:
         return TruncSeries(x.ring, lo, cs, EXACT)
     prec = min(bounds)
     if prec <= lo:
-        warnings.warn(f"omega_{n}: no coefficient known below t^{prec}", EmptyWindowWarning)
         return zero(x.ring, prec)
     cs = [x.coeff(i) * y.coeff(i + n) for i in range(lo, prec)]
     return TruncSeries(x.ring, lo, cs, prec)
@@ -152,8 +151,9 @@ def eval_eta(s: BitSeq, x: TruncSeries, y: TruncSeries) -> TruncSeries:
 
     Precision is the largest P with every degree below P fully inside the
     bit window and the inputs' known windows (an exact zero input
-    annihilates); WindowTooSmall is raised when the bit window leaves
-    nothing known at all."""
+    annihilates).  When nothing is known, for instance because the first
+    degree already needs bits past the window, the result is the zero at
+    that P; :func:`evaluate` raises WindowTooSmall for the short bit window."""
     x._check_ring(y)
     if x.is_exact_zero() or y.is_exact_zero():
         return zero(x.ring)
@@ -161,12 +161,10 @@ def eval_eta(s: BitSeq, x: TruncSeries, y: TruncSeries) -> TruncSeries:
     L = s.window
     lo = max(sx + 1, -((-(sx + sy)) // 2))
     d, cs = lo, []
-    bits_bound = False
     while True:
         n_min = max(1, sy - d)
         n_max = d - sx
         if n_max > L:
-            bits_bound = True
             break
         if not (x.is_exact or d - n_min < x.prec):
             break
@@ -175,13 +173,6 @@ def eval_eta(s: BitSeq, x: TruncSeries, y: TruncSeries) -> TruncSeries:
         cs.append(sum(s.bit(n) * x.coeff(d - n) * y.coeff(d + n) for n in range(n_min, n_max + 1)))
         d += 1
     if d <= lo:
-        if bits_bound:
-            raise WindowTooSmall(
-                f"eta evaluation needs bits through s_{lo - sx}, window has {L}",
-                needed=lo - sx,
-                sound_zero=zero(x.ring, d),
-            )
-        warnings.warn(f"eta: no coefficient known below t^{d}", EmptyWindowWarning)
         return zero(x.ring, d)
     return TruncSeries(x.ring, lo, cs, d)
 
@@ -207,20 +198,16 @@ def eval_param_omega(a: ParamSeq, x: TruncSeries, y: TruncSeries) -> TruncSeries
                 needed=(need_lo, need_hi),
             )
     acc = zero(a.ring)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyWindowWarning)
-        for n, a_n in a.entries:
-            acc = acc + ring_mul(a_n, eval_basis_omega(n, x, y))
+    for n, a_n in a.entries:
+        acc = acc + ring_mul(a_n, eval_basis_omega(n, x, y))
     return acc
 
 
 def coboundary_potential(terms: Sequence[tuple[int, TruncSeries]], x: TruncSeries) -> TruncSeries:
     """f(x) = sum_k u_k omega_k(x, x); continuous, equivariant, f(0) = 0."""
     acc = zero(x.ring)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyWindowWarning)
-        for k, u in terms:
-            acc = acc + ring_mul(u, eval_basis_omega(k, x, x))
+    for k, u in terms:
+        acc = acc + ring_mul(u, eval_basis_omega(k, x, x))
     return acc
 
 
@@ -229,11 +216,9 @@ def eval_coboundary(terms: Sequence[tuple[int, TruncSeries]], x: TruncSeries, y:
     computed through its bilinear expansion -sum_k u_k (omega_k(x,y) + omega_k(y,x))."""
     x._check_ring(y)
     acc = zero(x.ring)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyWindowWarning)
-        for k, u in terms:
-            mixed = eval_basis_omega(k, x, y) + eval_basis_omega(k, y, x)
-            acc = acc + ring_mul(u, mixed)
+    for k, u in terms:
+        mixed = eval_basis_omega(k, x, y) + eval_basis_omega(k, y, x)
+        acc = acc + ring_mul(u, mixed)
     return -acc
 
 
@@ -338,13 +323,7 @@ class Transformed(Cocycle):
     def __call__(self, x, y):
         bx = ring_mul(self.b_unit, x)
         by = ring_mul(self.b_unit, y)
-        try:
-            base_val = self.base(bx, by)
-        except WindowTooSmall as err:
-            if err.sound_zero is None:
-                raise
-            base_val = err.sound_zero
-        out = ring_mul(self.a_unit, base_val)
+        out = ring_mul(self.a_unit, self.base(bx, by))
         if self.cob:
             out = out + eval_coboundary(self.cob, x, y)
         return out
@@ -354,19 +333,25 @@ EvalTarget = Cocycle | Callable[[TruncSeries, TruncSeries], TruncSeries]
 
 
 def evaluate(spec: EvalTarget, x: TruncSeries, y: TruncSeries) -> TruncSeries:
-    """Evaluate a closed spec (or any raw (x, y) -> series map) at a pair."""
-    return spec(x, y)
+    """Evaluate a closed spec (or any raw (x, y) -> series map) at a pair.
 
-
-def evaluate_lenient(spec: EvalTarget, x: TruncSeries, y: TruncSeries) -> TruncSeries:
-    """Like :func:`evaluate`, but a window failure that still determines a
-    sound empty value yields that value instead of raising."""
-    try:
-        return spec(x, y)
-    except WindowTooSmall as err:
-        if err.sound_zero is None:
-            raise
-        return err.sound_zero
+    This is the public boundary of the empty-window policy; internal code
+    calls ``spec(x, y)``, which returns the sound zero when nothing is known.
+    Here a plain Eta whose bit window is too short for the first degree
+    raises WindowTooSmall, and a result whose absolute value is only an
+    upper bound warns EmptyWindowWarning once."""
+    if isinstance(spec, Eta) and not (x.is_exact_zero() or y.is_exact_zero()):
+        x._check_ring(y)
+        needed = max(1, -((x.start - y.start) // 2))
+        if needed > spec.s.window:
+            raise WindowTooSmall(
+                f"eta evaluation needs bits through s_{needed}, window has {spec.s.window}",
+                needed=needed,
+            )
+    out = spec(x, y)
+    if not out.abs_val().exact:
+        warnings.warn(f"no coefficient known below t^{out.prec}", EmptyWindowWarning, stacklevel=2)
+    return out
 
 
 def antisymmetrize(spec: EvalTarget, x: TruncSeries, y: TruncSeries) -> TruncSeries:
@@ -375,22 +360,13 @@ def antisymmetrize(spec: EvalTarget, x: TruncSeries, y: TruncSeries) -> TruncSer
     return spec(x, y) - spec(y, x)
 
 
-def antisymmetrize_lenient(spec: EvalTarget, x: TruncSeries, y: TruncSeries) -> TruncSeries:
-    """Antisymmetrization with window failures demoted to sound zeros."""
-    return evaluate_lenient(spec, x, y) - evaluate_lenient(spec, y, x)
-
-
 def b_map(spec: EvalTarget, window: tuple[int, int], ring: Modulus | None = None) -> ParamSeq:
     """The window of probe values (spec(t^0, t^m))_m; recovers the parameter
     sequence of a ParamOmega and inverts the parametrization on the window."""
     if ring is None:
         ring = spec.ring
     lo, hi = window
-    entries = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyWindowWarning)
-        for m in range(lo, hi + 1):
-            entries[m] = evaluate_lenient(spec, one_term(ring, 0), one_term(ring, m))
+    entries = {m: spec(one_term(ring, 0), one_term(ring, m)) for m in range(lo, hi + 1)}
     return ParamSeq.from_dict(ring, window, entries)
 
 
@@ -437,14 +413,12 @@ def check_cocycle_identity(spec: EvalTarget, triples: Iterable[tuple[TruncSeries
     """Evaluate w(y,z) - w(x+y,z) + w(x,y+z) - w(x,y) = 0 at each triple,
     compared at shared precision; failures are reported, not raised."""
     checked, bad = 0, []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyWindowWarning)
-        for x, y, z in triples:
-            checked += 1
-            lhs = evaluate_lenient(spec, y, z) + evaluate_lenient(spec, x, y + z)
-            rhs = evaluate_lenient(spec, x + y, z) + evaluate_lenient(spec, x, y)
-            if not lhs.agree(rhs):
-                bad.append(Witness((x, y, z), lhs, rhs))
+    for x, y, z in triples:
+        checked += 1
+        lhs = spec(y, z) + spec(x, y + z)
+        rhs = spec(x + y, z) + spec(x, y)
+        if not lhs.agree(rhs):
+            bad.append(Witness((x, y, z), lhs, rhs))
     return CheckReport(checked, tuple(bad))
 
 
@@ -452,13 +426,11 @@ def check_equivariance(spec: EvalTarget, pairs: Iterable[tuple[TruncSeries, Trun
     """t^k w(x, y) = w(t^k x, t^k y) over the sampled pairs and exponents."""
     ks = list(k_range)
     checked, bad = 0, []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyWindowWarning)
-        for x, y in pairs:
-            for k in ks:
-                checked += 1
-                lhs = shift(evaluate_lenient(spec, x, y), k)
-                rhs = evaluate_lenient(spec, x.shift(k), y.shift(k))
-                if not lhs.agree(rhs):
-                    bad.append(Witness((x, y, one_term(x.ring, k)), lhs, rhs))
+    for x, y in pairs:
+        for k in ks:
+            checked += 1
+            lhs = shift(spec(x, y), k)
+            rhs = spec(x.shift(k), y.shift(k))
+            if not lhs.agree(rhs):
+                bad.append(Witness((x, y, one_term(x.ring, k)), lhs, rhs))
     return CheckReport(checked, tuple(bad))

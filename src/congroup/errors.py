@@ -22,17 +22,15 @@ class SeriesSyntaxError(CongroupError):
 
 
 class WindowTooSmall(CongroupError):
-    """A declared finite window (bits, parameter sequence) cannot support
-    the requested evaluation; ``needed`` describes what would suffice.
+    """A declared finite window cannot support the requested operation and
+    no sound value exists to return instead; ``needed`` describes what would
+    suffice.  Raised for a plain eta evaluation at the ``evaluate`` boundary,
+    for parameter windows on exact inputs, for a fingerprint precision
+    budget and for centre probes at an undetermined level."""
 
-    When the partial evaluation still determines a sound (if empty) value,
-    it is attached as ``sound_zero`` so that compositions may continue at
-    reduced precision instead of failing outright."""
-
-    def __init__(self, message, needed=None, sound_zero=None):
+    def __init__(self, message, needed=None):
         super().__init__(message)
         self.needed = needed
-        self.sound_zero = sound_zero
 
 
 class SpecMismatch(CongroupError):
@@ -68,5 +66,6 @@ class DegreeZero(CongroupError):
 
 
 class EmptyWindowWarning(UserWarning):
-    """An evaluation produced no known coefficient; the returned value is a
-    zero at the sound precision."""
+    """``evaluate`` returned a value with no known coefficient: the zero at
+    the sound precision, whose absolute value is only an upper bound.
+    Internal evaluations return the same zero without warning."""

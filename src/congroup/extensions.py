@@ -13,7 +13,6 @@ separates, and nontrivial actions are out of scope here.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -23,17 +22,9 @@ from .cocycles import (
     QuadCoboundary,
     Transformed,
     coboundary_potential,
-    evaluate_lenient,
 )
-from .errors import EmptyWindowWarning, SpecMismatch, WindowTooSmall
+from .errors import SpecMismatch, WindowTooSmall
 from .series import TruncSeries, one_term, zero
-
-
-def _act(g: TruncSeries, a: TruncSeries) -> TruncSeries:
-    """The quotient action g.a on the kernel.  Only the trivial action is in
-    scope; the slot stays in the group-law formulas so they read as the
-    general ones."""
-    return a
 
 
 @dataclass(frozen=True)
@@ -54,17 +45,13 @@ class ExtElement:
 
     def __mul__(self, other: "ExtElement") -> "ExtElement":
         self._check(other)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EmptyWindowWarning)
-            w = evaluate_lenient(self.spec, self.g, other.g)
-        return ExtElement(self.a + _act(self.g, other.a) + w, self.g + other.g, self.spec)
+        w = self.spec(self.g, other.g)
+        return ExtElement(self.a + other.a + w, self.g + other.g, self.spec)
 
     def inverse(self) -> "ExtElement":
         gi = -self.g
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EmptyWindowWarning)
-            w = evaluate_lenient(self.spec, self.g, gi)
-        return ExtElement(-_act(gi, self.a) - _act(gi, w), gi, self.spec)
+        w = self.spec(self.g, gi)
+        return ExtElement(-self.a - w, gi, self.spec)
 
     def alpha(self, k: int = 1) -> "ExtElement":
         """The contractive automorphism (shift on both components), iterated k times."""
@@ -162,13 +149,11 @@ def center_test(u: ExtElement, probe_degrees: Sequence[int] | None = None) -> Ce
     probes = list(probe_degrees) if probe_degrees is not None else []
     if n0 is not None and probe_degrees is None:
         probes = [2 * n0 + v, 2 * n0, 2 * n0 + v + 1]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyWindowWarning)
-        for j in probes:
-            tj = one_term(spec.ring, j)
-            delta = evaluate_lenient(spec, u.g, tj) - evaluate_lenient(spec, tj, u.g)
-            if not delta.is_zero():
-                return CenterVerdict("FAIL", probe=j, witness=delta)
+    for j in probes:
+        tj = one_term(spec.ring, j)
+        delta = spec(u.g, tj) - spec(tj, u.g)
+        if not delta.is_zero():
+            return CenterVerdict("FAIL", probe=j, witness=delta)
     return CenterVerdict("PASS")
 
 
@@ -191,10 +176,7 @@ def equivalence_map(fterms: Sequence[tuple[int, TruncSeries]], u: ExtElement) ->
     (a, g) -> (a - f(g), g): a bijective homomorphism commuting with the
     shift and fixing both the kernel copy and pr2."""
     target = add_coboundary(u.spec, fterms)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyWindowWarning)
-        f_g = coboundary_potential(fterms, u.g)
-    return ExtElement(u.a - f_g, u.g, target)
+    return ExtElement(u.a - coboundary_potential(fterms, u.g), u.g, target)
 
 
 # -- nilpotency probing ------------------------------------------------------------

@@ -24,12 +24,11 @@ same bits as their base, which is what makes the family pairwise distinct.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cocycles import BitSeq, Cocycle, Eta, Transformed, evaluate_lenient
-from .errors import EmptyWindowWarning, SpecMismatch, WindowTooSmall
+from .cocycles import BitSeq, Cocycle, Eta, Transformed
+from .errors import SpecMismatch, WindowTooSmall
 from .series import Modulus, TruncSeries, one_term
 
 INFINITE = float("inf")
@@ -104,26 +103,24 @@ def delta_profile(
     _supported_family(spec)
     ring = spec.ring
     entries = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyWindowWarning)
-        for m in range(1, window + 1):
-            drawn = []
-            for _ in range(max(1, trials if probes is not None else 1)):
-                x, y = _probe_pair(ring, m, probes)
-                delta = evaluate_lenient(spec, x, y) - evaluate_lenient(spec, y, x)
-                av = delta.abs_val()
-                if av.exact and av.valuation is not None:
-                    drawn.append(ProfileEntry(m, True, av.valuation))
-                else:
-                    drawn.append(ProfileEntry(m, False, INFINITE if av.exact else delta.prec))
-            exact = [e for e in drawn if e.exact]
-            best = min(exact, key=lambda e: e.value) if exact else max(drawn, key=lambda e: e.value)
-            if precision_budget is not None and not best.exact and best.value < precision_budget:
-                raise WindowTooSmall(
-                    f"delta_{m} certified only below t^{best.value}, budget {precision_budget}",
-                    needed=precision_budget,
-                )
-            entries.append(best)
+    for m in range(1, window + 1):
+        drawn = []
+        for _ in range(max(1, trials if probes is not None else 1)):
+            x, y = _probe_pair(ring, m, probes)
+            delta = spec(x, y) - spec(y, x)
+            av = delta.abs_val()
+            if av.exact and av.valuation is not None:
+                drawn.append(ProfileEntry(m, True, av.valuation))
+            else:
+                drawn.append(ProfileEntry(m, False, INFINITE if av.exact else delta.prec))
+        exact = [e for e in drawn if e.exact]
+        best = min(exact, key=lambda e: e.value) if exact else max(drawn, key=lambda e: e.value)
+        if precision_budget is not None and not best.exact and best.value < precision_budget:
+            raise WindowTooSmall(
+                f"delta_{m} certified only below t^{best.value}, budget {precision_budget}",
+                needed=precision_budget,
+            )
+        entries.append(best)
     return DeltaProfile(ring, window, tuple(entries))
 
 

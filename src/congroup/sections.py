@@ -16,12 +16,11 @@ loop of the construction.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .cocycles import Cocycle
-from .errors import BadParams, EmptyWindowWarning, InsufficientPrecision, MalformedInput
+from .errors import BadParams, InsufficientPrecision, MalformedInput
 from .extensions import ExtElement, ext_identity
 from .series import Modulus, TruncSeries, make_series, one_term, zero
 
@@ -186,11 +185,9 @@ def build_section(ctx: SectionContext, h: TruncSeries, upto: int) -> SectionValu
     """The partial product s_upto(h) = alpha^m(g_{j_m}) ... alpha^upto(g_{j_upto}),
     multiplied left to right (G need not be abelian)."""
     exp = digit_expand(ctx, h, upto)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyWindowWarning)
-        acc = ctx.g_identity
-        for k, j in zip(range(exp.start, exp.upto + 1), exp.digits):
-            acc = ctx.g_mul(acc, ctx.g_alpha(ctx.lifts[j], k))
+    acc = ctx.g_identity
+    for k, j in zip(range(exp.start, exp.upto + 1), exp.digits):
+        acc = ctx.g_mul(acc, ctx.g_alpha(ctx.lifts[j], k))
     return SectionValue(acc, exp.start, upto)
 
 
@@ -212,11 +209,6 @@ class SectionReport:
         }
 
 
-def _h_agree_through(x: TruncSeries, y: TruncSeries, idx: int) -> bool:
-    lo = min(x.start, y.start, idx)
-    return all(x.coeff(i) == y.coeff(i) for i in range(lo, idx + 1))
-
-
 def verify_section(ctx: SectionContext, samples: Iterable[TruncSeries], upto: int) -> SectionReport:
     """Check sigma(e) = e, q(sigma(h)) = h through t^upto, and the exact
     finite-stage equivariance sigma(beta h) = alpha(sigma h)."""
@@ -232,7 +224,7 @@ def verify_section(ctx: SectionContext, samples: Iterable[TruncSeries], upto: in
             bad.append(f"h = {h}: {err}")
             continue
         back = ctx.q(sig.element)
-        if not _h_agree_through(back, h, upto):
+        if not back.agree_through(h, upto):
             bad.append(f"q(sigma(h)) != h through t^{upto} for h = {h}")
             continue
         shifted = build_section(ctx, h.shift(1), upto + 1)

@@ -9,7 +9,6 @@ acceptance module and the CLI ``selftest`` subcommand both call into here.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -39,9 +38,7 @@ from .cocycles import (
     check_equivariance,
     eval_basis_omega,
     eval_param_omega,
-    evaluate_lenient,
 )
-from .errors import EmptyWindowWarning
 from .extensions import ExtElement, center_test, commutator, ext_identity, ext_iota
 from .fingerprint import fingerprint, equivalent_on_window
 from .sections import make_ext_projection_ctx, make_mod_reduction_ctx, verify_section
@@ -154,28 +151,26 @@ def criterion_2(seed=0) -> CriterionResult:
     """Ultrametric size bounds |w_n(x,y)| <= |x| and |eta_s(x,y)| <= p^-n0 |x|."""
     rng = random.Random(f"{seed}/criterion-2")
     bad = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyWindowWarning)
-        for _ in range(1000):
-            ring = Modulus(rng.choice((2, 3, 5)))
-            n = rng.randrange(-4, 5)
-            x = rand_series(rng, ring, exact=rng.random() < 0.5)
-            y = rand_series(rng, ring, exact=rng.random() < 0.5)
-            v = eval_basis_omega(n, x, y).abs_val()
-            if v.exact and v.value > x.abs_val().value:
-                bad += 1
-        for _ in range(1000):
-            ring = Modulus(rng.choice((2, 3, 5)))
-            s = rand_bits(rng, 6)
-            n0 = s.first_set
-            x = rand_series(rng, ring, exact=rng.random() < 0.5)
-            y = rand_series(rng, ring, exact=rng.random() < 0.5)
-            v = evaluate_lenient(Eta(ring, s), x, y).abs_val()
-            bound = x.abs_val().value / ring.p ** (n0 if n0 else 1)
-            if s.first_set is None:
-                bound = Fraction(0)
-            if v.exact and v.value > bound:
-                bad += 1
+    for _ in range(1000):
+        ring = Modulus(rng.choice((2, 3, 5)))
+        n = rng.randrange(-4, 5)
+        x = rand_series(rng, ring, exact=rng.random() < 0.5)
+        y = rand_series(rng, ring, exact=rng.random() < 0.5)
+        v = eval_basis_omega(n, x, y).abs_val()
+        if v.exact and v.value > x.abs_val().value:
+            bad += 1
+    for _ in range(1000):
+        ring = Modulus(rng.choice((2, 3, 5)))
+        s = rand_bits(rng, 6)
+        n0 = s.first_set
+        x = rand_series(rng, ring, exact=rng.random() < 0.5)
+        y = rand_series(rng, ring, exact=rng.random() < 0.5)
+        v = Eta(ring, s)(x, y).abs_val()
+        bound = x.abs_val().value / ring.p ** (n0 if n0 else 1)
+        if s.first_set is None:
+            bound = Fraction(0)
+        if v.exact and v.value > bound:
+            bad += 1
     return CriterionResult(2, "ultrametric-bounds", bad == 0, f"2000 pairs, {bad} violations")
 
 
@@ -196,13 +191,11 @@ def criterion_3(seed=0) -> CriterionResult:
         if isinstance(spec, ParamOmega):
             window = (-spec.seq.hi, spec.seq.hi)
         seq = b_map(spec, window)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EmptyWindowWarning)
-            for m in range(window[0], window[1] + 1):
-                lhs = eval_param_omega(seq, one_term(ring, 0), one_term(ring, m))
-                rhs = evaluate_lenient(spec, one_term(ring, 0), one_term(ring, m))
-                if not lhs.agree(rhs):
-                    bad.append(f"{type(spec).__name__}: probe {m} differs")
+        for m in range(window[0], window[1] + 1):
+            lhs = eval_param_omega(seq, one_term(ring, 0), one_term(ring, m))
+            rhs = spec(one_term(ring, 0), one_term(ring, m))
+            if not lhs.agree(rhs):
+                bad.append(f"{type(spec).__name__}: probe {m} differs")
     return CriterionResult(3, "parametrization-bijection", not bad, bad[0] if bad else "100 windows + all variants reproduce")
 
 

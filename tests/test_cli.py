@@ -74,11 +74,30 @@ class TestCocycleCommand:
         code, _, err = run(capsys, "cocycle", "eval", "--p", "2", "--spec", "zeta:1", "t^0", "t^0")
         assert code == 1 and "spec :=" in err
 
+    def test_eval_short_bit_window_is_error(self, capsys):
+        code, out, err = run(capsys, "cocycle", "eval", "--p", "2", "--spec", "eta:1", "t^0", "t^10")
+        assert code == 1 and out == ""
+        assert err == "error: WindowTooSmall: eta evaluation needs bits through s_5, window has 1\n"
+
+    def test_eval_empty_window_prints_sound_zero(self, capsys, recwarn):
+        # recwarn takes the EmptyWindowWarning that evaluate may emit here
+        code, out, _ = run(capsys, "cocycle", "eval", "--p", "2", "--spec", "omega:0", "1*t^3 + O(t^4)", "O(t^2)")
+        assert code == 0 and out == "O(t^2)\n"
+
+    def test_eval_xform_short_bit_window_is_sound_zero(self, capsys, recwarn):
+        spec = "xform(eta:1;a=1*t^0;b=1*t^0)"
+        code, out, _ = run(capsys, "cocycle", "eval", "--p", "2", "--spec", spec, "t^0", "t^10")
+        assert code == 0 and out == "O(t^5)\n"
+
 
 class TestExtCommand:
     def test_mul_example(self, capsys):
         code, out, _ = run(capsys, "ext", "mul", "--p", "2", "--spec", "eta:1", "(0 ; t^0)", "(0 ; t^2)")
         assert code == 0 and out.strip() == "(1*t^1 + O(t^2) ; 1*t^0 + 1*t^2)"
+
+    def test_mul_short_bit_window_keeps_sound_zero(self, capsys):
+        code, out, _ = run(capsys, "ext", "mul", "--p", "2", "--spec", "eta:1", "(1*t^0 ; 1*t^0)", "(0 ; 1*t^20)")
+        assert code == 0 and out == "(1*t^0 + O(t^10) ; 1*t^0 + 1*t^20)\n"
 
     def test_center_fail_exit_two(self, capsys):
         code, out, _ = run(capsys, "ext", "center", "--p", "2", "--spec", "eta:1", "(0 ; t^0)", "--probes", "2")
@@ -185,3 +204,11 @@ class TestSelftestCommand:
         code, out, _ = run(capsys, "selftest", "--seed", "0", "--only", "8,10")
         assert code == 0
         assert "PASS criterion 8" in out and "PASS criterion 10" in out
+
+    def test_unknown_criterion_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "selftest", "--only", "99")
+        assert code == 1 and out == "" and "criterion numbers 1..10" in err
+
+    def test_non_integer_criterion_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "selftest", "--only", "x")
+        assert code == 1 and out == "" and "criterion numbers 1..10" in err

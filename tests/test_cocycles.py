@@ -3,6 +3,7 @@ round trip, and the identity/equivariance batch checkers."""
 
 import random
 import warnings
+from dataclasses import dataclass
 
 import pytest
 
@@ -11,6 +12,7 @@ from conftest import rand_bits, rand_cob_terms, rand_param_seq, rand_series, ran
 from congroup.cocycles import (
     BasisOmega,
     BitSeq,
+    Cocycle,
     Eta,
     ParamOmega,
     ParamSeq,
@@ -28,6 +30,7 @@ from congroup.cocycles import (
     evaluate,
 )
 from congroup.errors import EmptyWindowWarning, MalformedInput, WindowTooSmall
+from congroup.extensions import ExtElement
 from congroup.series import Modulus, make_series, one_term, parse, shift, zero
 
 F2 = Modulus(2)
@@ -91,9 +94,11 @@ class TestBasisOmega:
     def test_empty_window_warns(self):
         x = make_series(F2, 3, [1], 4)
         y = zero(F2, 2)
-        with pytest.warns(EmptyWindowWarning):
-            got = eval_basis_omega(0, x, y)
+        with pytest.warns(EmptyWindowWarning) as record:
+            got = evaluate(BasisOmega(F2, 0), x, y)
         assert got.is_zero() and got.prec == 2
+        assert len(record) == 1 and record[0].filename == __file__
+        assert eval_basis_omega(0, x, y) == got
 
     def test_size_bound(self):
         # |omega_n(x, y)| <= |x|
@@ -128,9 +133,7 @@ class TestEta:
         for _ in range(50):
             x = rand_series(rng, F3)
             y = rand_series(rng, F3)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", EmptyWindowWarning)
-                assert eval_eta(s, x, y).is_zero()
+            assert eval_eta(s, x, y).is_zero()
 
     def test_matches_param_representation(self):
         # eta_s = omega_a with a_{2n} = s_n t^n
@@ -141,14 +144,14 @@ class TestEta:
         for _ in range(100):
             x = rand_series(rng, F2)
             y = rand_series(rng, F2)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", EmptyWindowWarning)
-                assert eval_eta(s, x, y).agree(eval_param_omega(a, x, y))
+            assert eval_eta(s, x, y).agree(eval_param_omega(a, x, y))
 
     def test_window_too_small(self):
         s = BitSeq((1, 1))
-        with pytest.raises(WindowTooSmall):
-            eval_eta(s, one_term(F2, 0), one_term(F2, 10))
+        with pytest.raises(WindowTooSmall) as err:
+            evaluate(Eta(F2, s), one_term(F2, 0), one_term(F2, 10))
+        assert err.value.needed == 5
+        assert eval_eta(s, one_term(F2, 0), one_term(F2, 10)) == zero(F2, 5)
 
     def test_generalizes_to_prime_power_ring(self):
         # same formulas over Z/p^m: probe values and biadditivity survive
@@ -158,10 +161,8 @@ class TestEta:
         rng = random.Random(19)
         for _ in range(50):
             x, y, z = (rand_series(rng, Z4) for _ in range(3))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", EmptyWindowWarning)
-                lhs = eval_eta(s, x + y, z)
-                rhs = eval_eta(s, x, z) + eval_eta(s, y, z)
+            lhs = eval_eta(s, x + y, z)
+            rhs = eval_eta(s, x, z) + eval_eta(s, y, z)
             assert lhs.agree(rhs)
 
     def test_first_set_bit_bound(self):
@@ -176,9 +177,7 @@ class TestEta:
                 continue
             x = rand_series(rng, ring, exact=True)
             y = rand_series(rng, ring, exact=True)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", EmptyWindowWarning)
-                v = eval_eta(s, x, y).abs_val()
+            v = eval_eta(s, x, y).abs_val()
             assert not v.exact or v.value <= x.abs_val().value / ring.p**n0
 
 
@@ -197,10 +196,8 @@ class TestParamOmega:
         for _ in range(100):
             x = rand_series(rng, F2)
             y = rand_series(rng, F2)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", EmptyWindowWarning)
-                got = eval_param_omega(a, x, y)
-                want = shift(eval_basis_omega(2, x, y), 1)
+            got = eval_param_omega(a, x, y)
+            want = shift(eval_basis_omega(2, x, y), 1)
             assert got.agree(want)
 
     def test_second_slot_zero(self):
@@ -252,9 +249,7 @@ class TestCoboundary:
             terms = rand_cob_terms(rng, ring)
             x = rand_series(rng, ring)
             y = rand_series(rng, ring)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", EmptyWindowWarning)
-                assert eval_coboundary(terms, x, y).agree(eval_coboundary_direct(terms, x, y))
+            assert eval_coboundary(terms, x, y).agree(eval_coboundary_direct(terms, x, y))
 
 
 class TestTransformed:
@@ -265,7 +260,7 @@ class TestTransformed:
         for _ in range(100):
             x = rand_series(rng, F2)
             y = rand_series(rng, F2)
-            assert evaluate(spec, x, y).agree(evaluate(base, x, y))
+            assert spec(x, y).agree(base(x, y))
 
     def test_unit_scaling_of_probes(self):
         # |a base(b t^0, b t^2n)| = |a| |b| p^-n when s_n = 1
@@ -362,10 +357,8 @@ class TestBMap:
         for spec in spec_variants(rng, F2):
             seq = b_map(spec, (-4, 4))
             for m in range(-4, 5):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", EmptyWindowWarning)
-                    lhs = eval_param_omega(seq, one_term(F2, 0), one_term(F2, m))
-                    rhs = evaluate(spec, one_term(F2, 0), one_term(F2, m))
+                lhs = eval_param_omega(seq, one_term(F2, 0), one_term(F2, m))
+                rhs = spec(one_term(F2, 0), one_term(F2, m))
                 assert lhs.agree(rhs)
 
 
@@ -409,11 +402,37 @@ class TestBiadditivity:
                 for _ in range(25):
                     x, x2 = rand_series(rng, ring), rand_series(rng, ring)
                     y = rand_series(rng, ring)
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", EmptyWindowWarning)
-                        left = evaluate(spec, x + x2, y)
-                        split = evaluate(spec, x, y) + evaluate(spec, x2, y)
-                        assert left.agree(split)
-                        right = evaluate(spec, y, x + x2)
-                        rsplit = evaluate(spec, y, x) + evaluate(spec, y, x2)
-                        assert right.agree(rsplit)
+                    left = spec(x + x2, y)
+                    split = spec(x, y) + spec(x2, y)
+                    assert left.agree(split)
+                    right = spec(y, x + x2)
+                    rsplit = spec(y, x) + spec(y, x2)
+                    assert right.agree(rsplit)
+
+
+class TestWarningFiltersUntouched:
+    def test_callers_keep_the_process_filters(self):
+        # evaluation never swaps warnings.filters, a process-wide list that
+        # every thread shares
+        filters = warnings.filters
+        calls = []
+
+        def probe(x, y):
+            assert warnings.filters is filters
+            calls.append((x, y))
+            return eval_basis_omega(1, x, y)
+
+        @dataclass(frozen=True)
+        class Probe(Cocycle):
+            ring: Modulus
+
+            def __call__(self, x, y):
+                return probe(x, y)
+
+        x, y = one_term(F2, 0), make_series(F2, 1, [1], 3)
+        assert check_cocycle_identity(probe, [(x, y, y)]).ok
+        assert check_equivariance(probe, [(x, y)], (-1, 2)).ok
+        b_map(probe, (-2, 2), F2)
+        u = ExtElement(x, y, Probe(F2))
+        (u * u).inverse()
+        assert len(calls) == 4 + 2 * 2 + 5 + 2

@@ -11,8 +11,7 @@ from congroup.cocycles import (
     BitSeq,
     Eta,
     Transformed,
-    antisymmetrize_lenient,
-    evaluate_lenient,
+    antisymmetrize,
 )
 from congroup.errors import SpecMismatch, WindowTooSmall
 from congroup.extensions import (
@@ -147,7 +146,7 @@ class TestAlpha:
                 g1, g2 = rand_series(rng, F2), rand_series(rng, F2)
                 lhs = ext_sigma(spec, g1) * ext_sigma(spec, g2) * ext_inv(ext_sigma(spec, g1 + g2))
                 assert lhs.g.is_zero()
-                assert lhs.a.agree(evaluate_lenient(spec, g1, g2))
+                assert lhs.a.agree(spec(g1, g2))
 
 
 class TestCommutator:
@@ -177,7 +176,7 @@ class TestCommutator:
                 u, v = rand_element(rng, spec), rand_element(rng, spec)
                 c = commutator(u, v)
                 assert c.g.is_zero()
-                assert c.a.agree(antisymmetrize_lenient(spec, u.g, v.g))
+                assert c.a.agree(antisymmetrize(spec, u.g, v.g))
 
 
 class TestCenter:
