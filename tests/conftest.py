@@ -2,8 +2,15 @@
 
 import random
 
+from hypothesis import settings
+
 from congroup.cocycles import BitSeq, Eta, ParamSeq, ParamOmega, QuadCoboundary, Transformed
 from congroup.series import Modulus, make_series
+
+# Property tests draw the same examples on every run (no example database,
+# no wall-clock deadline), so the suite's verdict never depends on the run.
+settings.register_profile("congroup", derandomize=True, database=None, deadline=None)
+settings.load_profile("congroup")
 
 
 def rand_series(rng: random.Random, ring: Modulus, lo=-3, span=6, exact=False):

@@ -32,6 +32,16 @@ class TestSeriesCommand:
         code, _, _ = run(capsys, "series", "frobnicate", "--p", "2", "0")
         assert code == 1
 
+    def test_large_prime(self, capsys):
+        code, out, _ = run(capsys, "series", "mul", "--p", "1000000000000000003", "1*t^0", "1*t^1")
+        assert code == 0 and out == "1*t^1\n"
+
+    def test_prime_above_cap(self, capsys):
+        code, out, err = run(capsys, "series", "mul", "--p", "18446744073709551629", "1*t^0", "1*t^1")
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert code == 1 and out == ""
+        assert errors == ["error: p = 18446744073709551629 is too large: p must be a prime below 2**64"]
+
 
 class TestCocycleCommand:
     def test_eval_example(self, capsys):

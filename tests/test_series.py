@@ -4,7 +4,10 @@ the ultrametric absolute value, and the text grammar."""
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from congroup import series
 from congroup.errors import (
     InsufficientPrecision,
     MalformedInput,
@@ -46,8 +49,11 @@ def rand_series(rng, ring, lo=-4, width=8, exact=False):
 
 class TestModulus:
     def test_rejects_composite(self):
-        with pytest.raises(MalformedInput):
-            Modulus(6)
+        # 2**61 + 1 is divisible by 3; 3825123056546413051 is a strong
+        # pseudoprime to every prime base up to 31, so base 37 must reject it
+        for n in (6, 2**61 + 1, 3825123056546413051):
+            with pytest.raises(MalformedInput, match="not a prime"):
+                Modulus(n)
 
     def test_rejects_bad_exponent(self):
         with pytest.raises(MalformedInput):
@@ -55,6 +61,21 @@ class TestModulus:
 
     def test_q(self):
         assert Z9.q == 9 and F2.q == 2
+
+    def test_large_primes_construct(self):
+        for p in (2**61 - 1, 10**18 + 3):
+            assert Modulus(p).q == p
+
+    def test_cap(self):
+        with pytest.raises(MalformedInput, match=r"below 2\*\*64"):
+            Modulus(2**64 + 13)
+
+    def test_primality_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        for n in range(-2, 5000):
+            assert series._is_prime(n) == trial(n), n
 
 
 class TestMakeSeries:
@@ -194,6 +215,90 @@ class TestRingMul:
             assert ring_mul(x, add(y, z)).agree(add(ring_mul(x, y), ring_mul(x, z)))
 
 
+ORACLE_RINGS = (F2, Modulus(3, 4), Modulus(65537), Modulus(65537, 3))
+
+
+def schoolbook(x, y):
+    """Reference product: every pair of stored coefficients, then the window
+    min(prec_x + start_y, prec_y + start_x) (the exact zero annihilates)."""
+    if x.is_exact_zero() or y.is_exact_zero():
+        return zero(x.ring)
+    full = [0] * max(0, len(x.coeffs) + len(y.coeffs) - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            full[i + j] += a * b
+    lo = x.start + y.start
+    bounds = [p + s for p, s in ((x.prec, y.start), (y.prec, x.start)) if p is not EXACT]
+    if not bounds:
+        return make_series(x.ring, lo, full)
+    prec = min(bounds)
+    if prec <= lo:
+        return zero(x.ring, prec)
+    return make_series(x.ring, lo, full[: prec - lo], prec)
+
+
+@st.composite
+def oracle_series(draw, ring):
+    start = draw(st.integers(-20, 20))
+    n = draw(st.integers(0, 300))
+    cs = draw(st.lists(st.integers(0, ring.q - 1), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        return make_series(ring, start, cs)
+    return make_series(ring, start, cs, start + n + draw(st.integers(0, 5)))
+
+
+@st.composite
+def oracle_pairs(draw):
+    ring = draw(st.sampled_from(ORACLE_RINGS))
+    return draw(oracle_series(ring)), draw(oracle_series(ring))
+
+
+def _ones(ring, start, n, prec=EXACT):
+    return make_series(ring, start, [ring.q - 1] * n, prec)
+
+
+# Explicit pairs that pin each branch of ring_mul: schoolbook, packing in
+# array slots, packing in slots wider than 64 bits, exact zero, hi <= lo.
+# All coefficients are q - 1, so product coefficients reach the slot bound:
+# 256 x 300 over F_2 makes a coefficient 256, one more than a byte holds.
+ORACLE_EXAMPLES = [
+    (_ones(F2, 0, 1), _ones(F2, -3, 300)),
+    (_ones(F2, 0, 256), _ones(F2, 1, 300)),
+    (_ones(Modulus(3, 4), -7, 4, -2), _ones(Modulus(3, 4), 2, 5)),
+    (_ones(Modulus(65537), -5, 300, 298), _ones(Modulus(65537), 4, 250, 260)),
+    (_ones(Modulus(65537, 3), -2, 40, 45), _ones(Modulus(65537, 3), -9, 60)),
+    (zero(F2), _ones(F2, 0, 50, 60)),
+    (_ones(Modulus(3, 4), 0, 9, 9), zero(Modulus(3, 4))),
+    (zero(F2, 0), _ones(F2, -2, 1, -1)),
+]
+
+
+class TestRingMulOracle:
+    @given(oracle_pairs())
+    def test_matches_schoolbook(self, pair):
+        x, y = pair
+        assert ring_mul(x, y) == schoolbook(x, y)
+        assert ring_mul(y, x) == schoolbook(y, x)
+
+    def test_examples(self):
+        for x, y in ORACLE_EXAMPLES:
+            assert ring_mul(x, y) == schoolbook(x, y)
+            assert ring_mul(y, x) == schoolbook(y, x)
+
+    def test_examples_reach_every_branch(self):
+        pairs = [len(x.coeffs) * len(y.coeffs) for x, y in ORACLE_EXAMPLES]
+        assert min(pairs) == 0
+        assert any(0 < k <= series._SCHOOLBOOK_PAIRS for k in pairs)
+        assert any(k > series._SCHOOLBOOK_PAIRS for k in pairs)
+        slot_bits = [
+            (min(len(x.coeffs), len(y.coeffs)) * (x.ring.q - 1) ** 2).bit_length()
+            for x, y in ORACLE_EXAMPLES
+            if len(x.coeffs) * len(y.coeffs) > series._SCHOOLBOOK_PAIRS
+        ]
+        assert min(slot_bits) <= 64 < max(slot_bits)
+        assert any(x.prec is not EXACT and x.prec + y.start <= x.start + y.start for x, y in ORACLE_EXAMPLES)
+
+
 class TestAbsValue:
     def test_exact_value(self):
         x = parse(F3, "1*t^-2 + 1*t^0")
@@ -233,8 +338,9 @@ class TestPrecisionSoundness:
 
     def test_binary_ops(self):
         rng = random.Random(16)
-        for _ in range(200):
-            x, y = rand_series(rng, Z4), rand_series(rng, Z4)
+        # 200 short windows, then 40 wide ones that reach Kronecker packing
+        for width in [8] * 200 + [300] * 40:
+            x, y = rand_series(rng, Z4, width=width), rand_series(rng, Z4, width=width)
             x2, y2 = self.extend(rng, x), self.extend(rng, y)
             for op in (add, ring_mul):
                 before, after = op(x, y), op(x2, y2)
