@@ -16,10 +16,12 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from math import gcd
 from typing import Mapping
 
 from .errors import BadParams, DegreeZero, MalformedInput, NotContractive, NotExact, OrderMismatch
-from .series import Modulus, TruncSeries, make_series, ring_mul
+from .series import P_CAP, Modulus, TruncSeries, _is_prime, make_series, ring_mul
 
 
 # -- finite abelian data -------------------------------------------------------
@@ -34,6 +36,9 @@ class FiniteAbelianType:
     def __post_init__(self):
         if any(not isinstance(n, int) or n < 2 for n in self.orders):
             raise BadParams("cyclic factor orders must be integers >= 2")
+        for n in self.orders:
+            if n >= P_CAP:
+                raise BadParams(f"cyclic factor order {n} is too large: orders must lie below 2**64")
         object.__setattr__(self, "orders", tuple(sorted(self.orders)))
 
     @classmethod
@@ -85,15 +90,55 @@ class NuTable:
 
 
 def _factorize(n: int) -> dict[int, int]:
-    out, d = {}, 2
-    while d * d <= n:
+    """Prime factorization {p: k} of 1 <= n < 2**64: trial division below
+    100, then Pollard-Brent rho splits what is left until every part passes
+    the deterministic Miller-Rabin test (exact below 2**64).  A factor p
+    costs about sqrt(p) steps, so a product of two 32-bit primes takes
+    milliseconds."""
+    out: dict[int, int] = {}
+    for d in range(2, 100):
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _rho(m)
+            parts += [d, m // d]
     return out
+
+
+def _rho(n: int) -> int:
+    """A proper factor of an odd composite n without prime factors below
+    100: Pollard's rho on y -> y^2 + c with Brent's cycle search, taking
+    gcds of products of up to 128 differences; c = 1, 2, ... until a run
+    does not collapse to n, so the result is deterministic."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: redo its steps one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def primary_decompose(group: FiniteAbelianType) -> NuTable:

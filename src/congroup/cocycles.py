@@ -20,6 +20,7 @@ declared windows.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -135,14 +136,18 @@ def eval_basis_omega(n: int, x: TruncSeries, y: TruncSeries) -> TruncSeries:
     if not y.is_exact:
         bounds.append(y.prec - n)
     if not bounds:
-        hi = min(x.start + len(x.coeffs), y.start + len(y.coeffs) - n)
-        cs = [x.coeff(i) * y.coeff(i + n) for i in range(lo, max(hi, lo))]
-        return TruncSeries(x.ring, lo, cs, EXACT)
-    prec = min(bounds)
-    if prec <= lo:
-        return zero(x.ring, prec)
-    cs = [x.coeff(i) * y.coeff(i + n) for i in range(lo, prec)]
-    return TruncSeries(x.ring, lo, cs, prec)
+        prec = EXACT
+        hi = max(lo, min(x.start + len(x.coeffs), y.start + len(y.coeffs) - n))
+    else:
+        prec = hi = min(bounds)
+        if prec <= lo:
+            return zero(x.ring, prec)
+    # lo >= start_x and lo + n >= start_y; a slice of an exact input ends at
+    # its last stored residue and zip stops there, the zeros past it
+    # contribute nothing, and construction fills the window up to prec
+    xs = x.coeffs[lo - x.start : hi - x.start]
+    ys = y.coeffs[lo + n - y.start : hi + n - y.start]
+    return TruncSeries(x.ring, lo, [a * b for a, b in zip(xs, ys)], prec)
 
 
 def eval_eta(s: BitSeq, x: TruncSeries, y: TruncSeries) -> TruncSeries:
@@ -158,7 +163,9 @@ def eval_eta(s: BitSeq, x: TruncSeries, y: TruncSeries) -> TruncSeries:
     if x.is_exact_zero() or y.is_exact_zero():
         return zero(x.ring)
     sx, sy = x.start, y.start
+    xs, ys = x.coeffs, y.coeffs
     L = s.window
+    ones = [n for n, b in enumerate(s.bits, start=1) if b]
     lo = max(sx + 1, -((-(sx + sy)) // 2))
     d, cs = lo, []
     while True:
@@ -170,7 +177,12 @@ def eval_eta(s: BitSeq, x: TruncSeries, y: TruncSeries) -> TruncSeries:
             break
         if not (y.is_exact or d + n_max < y.prec):
             break
-        cs.append(sum(s.bit(n) * x.coeff(d - n) * y.coeff(d + n) for n in range(n_min, n_max + 1)))
+        # only the set bits with d - n and d + n inside the stored ranges
+        # contribute; past them an exact input is zero
+        first = bisect_left(ones, max(n_min, d - sx - len(xs) + 1))
+        last = bisect_right(ones, min(n_max, sy + len(ys) - 1 - d))
+        a, b = d - sx, d - sy
+        cs.append(sum([xs[a - n] * ys[b + n] for n in ones[first:last]]))
         d += 1
     if d <= lo:
         return zero(x.ring, d)

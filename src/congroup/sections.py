@@ -9,9 +9,11 @@ lifts g_j with q(g_j) = h_j, every h in beta^m(U) has unique digits j_k with
 
 and the partial products s_n(h) = alpha^m(g_{j_m}) ... alpha^n(g_{j_n})
 converge to a section sigma with q sigma = id and alpha sigma = sigma beta.
-Both contexts instantiated here have H a coefficient-shift group, so the
-level test is a coefficient read, but digit search runs the generic coset
-loop of the construction.
+Both contexts instantiated here have H a coefficient-shift group with
+U = F[[t]] and beta(U) = tU, so a coset of beta^{k+1}(U) inside beta^k(U) is
+fixed by the coefficient at t^k.  Digit search is therefore one table lookup
+and one division per level: the representative whose constant term equals
+that coefficient (see :func:`digit_expand`).
 """
 
 from __future__ import annotations
@@ -53,6 +55,14 @@ class SectionContext:
         self.g_identity = g_identity
         self.g_mul = g_mul
         self.g_alpha = g_alpha
+        if any(not rep.is_exact for rep in self.reps):
+            raise MalformedInput("representatives must be exact")
+        # constant term -> indices of the reps without negative powers; no
+        # other rep can lie in U, see digit_expand
+        self.by_constant: dict[int, list[int]] = {}
+        for j, rep in enumerate(self.reps):
+            if rep.start >= 0:
+                self.by_constant.setdefault(rep.coeff(0), []).append(j)
         if validate:
             self._validate()
 
@@ -72,8 +82,6 @@ class SectionContext:
         if consts != list(range(self.ring_h.q)):
             raise MalformedInput("representatives must enumerate U/beta(U) exactly once")
         for j, (rep, lift) in enumerate(zip(self.reps, self.lifts)):
-            if not rep.is_exact:
-                raise MalformedInput("representatives must be exact")
             if self.q(lift) != rep:
                 raise MalformedInput(f"lift {j} does not project onto its representative")
 
@@ -137,7 +145,13 @@ def digit_expand(ctx: SectionContext, h: TruncSeries, upto: int) -> DigitExpansi
 
     The level m is val(h); each step finds the single representative with
     beta^k(h_j)^{-1} z_k in beta^{k+1}(U) and divides it out.  Requires the
-    coefficients of h through ``upto`` to be known."""
+    coefficients of h through ``upto`` to be known.
+
+    The search is one lookup per level.  Before level k the remainder z has
+    valuation >= k, and z - t^k rep has valuation > k exactly when rep has
+    no negative powers and its constant term equals z's coefficient at t^k,
+    so the matches are the context's ``by_constant`` entry for that
+    coefficient.  Anything but one match means a broken table."""
     if h.ring != ctx.ring_h:
         raise MalformedInput(f"h lives over {h.ring}, context expects {ctx.ring_h}")
     if h.is_exact_zero():
@@ -154,15 +168,11 @@ def digit_expand(ctx: SectionContext, h: TruncSeries, upto: int) -> DigitExpansi
     digits = []
     z = h
     for k in range(m, upto + 1):
-        hits = []
-        for j, rep in enumerate(ctx.reps):
-            residual = z - rep.shift(k)
-            v = residual.valuation()
-            if v is None or v > k:
-                hits.append((j, residual))
+        hits = ctx.by_constant.get(z.coeff(k), ())
         if len(hits) != 1:
             raise MalformedInput(f"coset table broken at level {k}: {len(hits)} matches")
-        j, z = hits[0]
+        j = hits[0]
+        z = z - ctx.reps[j].shift(k)
         digits.append(j)
     return DigitExpansion(m, upto, tuple(digits))
 

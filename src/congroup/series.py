@@ -74,10 +74,9 @@ class Modulus:
             raise MalformedInput(f"p = {self.p!r} is not a prime integer")
         if not isinstance(self.m, int) or self.m < 1:
             raise MalformedInput(f"m = {self.m!r} must be a positive integer")
-
-    @property
-    def q(self) -> int:
-        return self.p**self.m
+        # q = p^m is read once per coefficient of every construction; it is
+        # an attribute, not a field, so ==, hash and repr see only (p, m)
+        object.__setattr__(self, "q", self.p**self.m)
 
     def reduce(self, c: int) -> int:
         return c % self.q
@@ -145,30 +144,44 @@ class TruncSeries:
     __slots__ = ("ring", "start", "coeffs", "prec")
 
     def __init__(self, ring: Modulus, start: int, coeffs: Sequence[int], prec: int | None = EXACT):
-        cs = [c % ring.q for c in coeffs]
+        q = ring.q
+        cs = [c % q for c in coeffs]
         if prec is EXACT:
             while cs and cs[-1] == 0:
                 cs.pop()
-            while cs and cs[0] == 0:
-                cs.pop(0)
-                start += 1
-            if not cs:
-                start = 0
         else:
             if prec < start + len(cs):
                 raise MalformedInput(
                     f"prec {prec} below declared window end {start + len(cs)}"
                 )
             cs.extend([0] * (prec - start - len(cs)))
-            while cs and cs[0] == 0:
-                cs.pop(0)
-                start += 1
-            if not cs:
-                start = prec
+        lead = 0
+        while lead < len(cs) and cs[lead] == 0:
+            lead += 1
+        if lead:
+            cs = cs[lead:]
+            start += lead
+        if not cs:
+            start = 0 if prec is EXACT else prec
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "prec", prec)
+
+    @classmethod
+    def _canonical(cls, ring: Modulus, start: int, coeffs: tuple[int, ...], prec: int | None) -> "TruncSeries":
+        """A series from parts already in canonical form, with no reduction
+        and no checks.  Only this module calls it, and only with parts derived
+        from canonical values by a map that keeps them canonical: every
+        residue in [0, q), the first one nonzero, a truncated window filled
+        exactly to ``prec`` (start = prec when empty), an exact one ending in
+        a nonzero residue (start = 0 when empty)."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "prec", prec)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
@@ -226,19 +239,33 @@ class TruncSeries:
             raise RingMismatch(f"{self.ring} vs {other.ring}")
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check_ring(other)
-        if self.is_exact and other.is_exact:
-            lo = min(self.start, other.start)
-            hi = max(self.start + len(self.coeffs), other.start + len(other.coeffs), lo)
-            cs = [self.coeff(i) + other.coeff(i) for i in range(lo, hi)]
-            return TruncSeries(self.ring, lo, cs, EXACT)
-        prec = min(p for p in (self.prec, other.prec) if p is not EXACT)
-        lo = min(self.start, other.start, prec)
-        cs = [self.coeff(i) + other.coeff(i) for i in range(lo, prec)]
+        if self.ring is not other.ring:
+            self._check_ring(other)
+        xs, ys = self.coeffs, other.coeffs
+        sx, sy = self.start, other.start
+        if self.prec is EXACT and other.prec is EXACT:
+            prec = EXACT
+            lo = min(sx, sy)
+            hi = max(sx + len(xs), sy + len(ys), lo)
+        else:
+            prec = min(p for p in (self.prec, other.prec) if p is not EXACT)
+            lo = min(sx, sy, prec)
+            hi = prec
+        # a truncated operand fills [start, prec) and prec >= hi, so only an
+        # exact operand can reach past the window and needs clipping
+        cs = [0] * (hi - lo)
+        n = min(len(xs), hi - sx)
+        if n > 0:
+            cs[sx - lo : sx - lo + n] = xs[:n]
+        for i, c in enumerate(ys[: max(0, hi - sy)], sy - lo):
+            cs[i] += c
         return TruncSeries(self.ring, lo, cs, prec)
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.ring, self.start, [-c for c in self.coeffs], self.prec)
+        q = self.ring.q
+        return TruncSeries._canonical(
+            self.ring, self.start, tuple([q - c if c else 0 for c in self.coeffs]), self.prec
+        )
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
         return self + (-other)
@@ -260,8 +287,11 @@ class TruncSeries:
 
     def shift(self, k: int) -> "TruncSeries":
         """The automorphism x -> t^k x: indices move up by k."""
-        prec = EXACT if self.is_exact else self.prec + k
-        return TruncSeries(self.ring, self.start + k, self.coeffs, prec)
+        if self.prec is EXACT:
+            if not self.coeffs:
+                return self  # the exact zero keeps start 0
+            return TruncSeries._canonical(self.ring, self.start + k, self.coeffs, EXACT)
+        return TruncSeries._canonical(self.ring, self.start + k, self.coeffs, self.prec + k)
 
     # -- comparison ---------------------------------------------------------
 
@@ -280,14 +310,15 @@ class TruncSeries:
 
     def agree(self, other: "TruncSeries") -> bool:
         """Equality at shared precision: all commonly known coefficients match."""
-        self._check_ring(other)
+        if self.ring is not other.ring:
+            self._check_ring(other)
         if self.is_exact and other.is_exact:
             return self.coeffs == other.coeffs and (
                 self.start == other.start or not self.coeffs
             )
         bound = min(p for p in (self.prec, other.prec) if p is not EXACT)
         lo = min(self.start, other.start, bound)
-        return all(self.coeff(i) == other.coeff(i) for i in range(lo, bound))
+        return self._window(lo, bound) == other._window(lo, bound)
 
     def agree_through(self, other: "TruncSeries", idx: int) -> bool:
         """Do both values determine and match every coefficient at index <= idx?"""
@@ -295,7 +326,14 @@ class TruncSeries:
         if not (self.known(idx) and other.known(idx)):
             raise InsufficientPrecision(f"cannot compare through t^{idx}")
         lo = min(self.start, other.start, idx)
-        return all(self.coeff(i) == other.coeff(i) for i in range(lo, idx + 1))
+        return self._window(lo, idx + 1) == other._window(lo, idx + 1)
+
+    def _window(self, lo: int, hi: int) -> tuple[int, ...]:
+        """The coefficients at indices lo..hi-1, with lo <= start and every
+        index below hi known."""
+        k = min(max(hi - self.start, 0), len(self.coeffs))
+        head = min(self.start, hi) - lo
+        return (0,) * head + self.coeffs[:k] + (0,) * (hi - lo - head - k)
 
     def __repr__(self):
         return f"TruncSeries({self.ring!r}, {format_series(self)!r})"

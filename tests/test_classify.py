@@ -2,6 +2,7 @@
 independent oracles (numeric roots, companion-matrix nilpotency)."""
 
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,8 @@ from congroup.classify import (
     stable_subgroup_locate,
     theta_x,
 )
-from congroup.errors import NotContractive, NotExact, OrderMismatch
+from congroup.classify import _factorize
+from congroup.errors import BadParams, NotContractive, NotExact, OrderMismatch
 from congroup.series import Modulus, make_series, one_term, parse, zero
 
 Z4 = Modulus(2, 2)
@@ -78,6 +80,42 @@ class TestPrimaryDecompose:
                         assert primary_decompose(
                             FiniteAbelianType(tuple(merged))
                         ) == primary_decompose(FiniteAbelianType(tuple(orders)))
+
+    def test_large_orders(self):
+        assert primary_decompose(FiniteAbelianType.of(2**61 - 1)) == NuTable.from_dict({(2**61 - 1, 1): 1})
+        assert primary_decompose(FiniteAbelianType.of(2**10 * 3**5 * 65537)) == NuTable.from_dict(
+            {(2, 10): 1, (3, 5): 1, (65537, 1): 1}
+        )
+
+    def test_semiprime_factors_fast(self):
+        # 1000000007 * 1000000009: trial division would need 10**9 steps
+        t0 = time.perf_counter()
+        table = primary_decompose(FiniteAbelianType.of(1000000016000000063))
+        assert time.perf_counter() - t0 < 1.0
+        assert table == NuTable.from_dict({(1000000007, 1): 1, (1000000009, 1): 1})
+
+    def test_factorization_matches_trial_division(self):
+        def trial(n):
+            out, d = {}, 2
+            while d * d <= n:
+                while n % d == 0:
+                    out[d] = out.get(d, 0) + 1
+                    n //= d
+                d += 1
+            if n > 1:
+                out[n] = out.get(n, 0) + 1
+            return out
+
+        rng = random.Random(103)
+        # products of primes above 100 reach the rho stage
+        composites = [p * q for p in (101, 103, 9973) for q in (101, 107, 10007)] + [101**3, 9973**2]
+        for n in list(range(1, 600)) + composites + [rng.randrange(2, 10**7) for _ in range(300)]:
+            assert _factorize(n) == trial(n), n
+
+    def test_order_cap(self):
+        with pytest.raises(BadParams, match=r"below 2\*\*64"):
+            FiniteAbelianType.of(2**64 + 1)
+        assert primary_decompose(FiniteAbelianType.of(2**64 - 1)).length() == 7
 
 
 class TestCompositionData:

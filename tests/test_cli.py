@@ -203,6 +203,18 @@ class TestClassifyCommand:
         assert got["blocks"][0]["place"] == 2  # finite places sort first
         assert got["blocks"][1]["mult"] == 3  # duplicates merged
 
+    def test_abelian_large_semiprime(self, capsys):
+        code, out, _ = run(capsys, "classify", "abelian", "--orders", "1000000016000000063")
+        assert code == 0 and out == "nu(1000000007, 1) = 1\nnu(1000000009, 1) = 1\n"
+
+    def test_abelian_order_above_cap(self, capsys):
+        code, out, err = run(capsys, "classify", "abelian", "--orders", str(2**64 + 1))
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert code == 1 and out == ""
+        assert errors == [
+            "error: BadParams: cyclic factor order 18446744073709551617 is too large: orders must lie below 2**64"
+        ]
+
     def test_compdata(self, capsys):
         code, out, _ = run(capsys, "classify", "compdata", "--p", "5", "--m", "2", "--json")
         blob = json.loads(out)

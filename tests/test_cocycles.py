@@ -6,6 +6,8 @@ import warnings
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import rand_bits, rand_cob_terms, rand_param_seq, rand_series, rand_unit, spec_variants
 
@@ -31,7 +33,7 @@ from congroup.cocycles import (
 )
 from congroup.errors import EmptyWindowWarning, MalformedInput, WindowTooSmall
 from congroup.extensions import ExtElement
-from congroup.series import Modulus, make_series, one_term, parse, shift, zero
+from congroup.series import EXACT, Modulus, make_series, one_term, parse, shift, zero
 
 F2 = Modulus(2)
 F3 = Modulus(3)
@@ -179,6 +181,77 @@ class TestEta:
             y = rand_series(rng, ring, exact=True)
             v = eval_eta(s, x, y).abs_val()
             assert not v.exact or v.value <= x.abs_val().value / ring.p**n0
+
+
+def eta_reference(s, x, y):
+    """eta_s(x, y) by the defining sum, read through coeff() and bit(), with
+    the precision loop of eval_eta."""
+    if x.is_exact_zero() or y.is_exact_zero():
+        return zero(x.ring)
+    sx, sy = x.start, y.start
+    lo = max(sx + 1, -((-(sx + sy)) // 2))
+    d, cs = lo, []
+    while True:
+        n_min, n_max = max(1, sy - d), d - sx
+        if n_max > s.window:
+            break
+        if not (x.is_exact or d - n_min < x.prec) or not (y.is_exact or d + n_max < y.prec):
+            break
+        cs.append(sum(s.bit(n) * x.coeff(d - n) * y.coeff(d + n) for n in range(n_min, n_max + 1)))
+        d += 1
+    if d <= lo:
+        return zero(x.ring, d)
+    return make_series(x.ring, lo, cs, d)
+
+
+@st.composite
+def eval_series(draw, ring):
+    start = draw(st.integers(-10, 10))
+    n = draw(st.integers(0, 130))
+    cs = draw(st.lists(st.integers(0, ring.q - 1), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        return make_series(ring, start, cs)
+    return make_series(ring, start, cs, start + n + draw(st.integers(0, 3)))
+
+
+@st.composite
+def eval_cases(draw):
+    """(bits, n, x, y, which input to extend, extension residues)."""
+    ring = draw(st.sampled_from((F2, F3, Modulus(3, 2))))
+    bits = BitSeq(tuple(draw(st.lists(st.integers(0, 1), min_size=1, max_size=70))))
+    x, y = draw(eval_series(ring)), draw(eval_series(ring))
+    extra = draw(st.lists(st.integers(0, ring.q - 1), min_size=1, max_size=20))
+    return bits, draw(st.integers(-20, 20)), x, y, draw(st.booleans()), extra
+
+
+def extend(x, extra):
+    """x with the residues ``extra`` stored past its prec (exact x as is)."""
+    if x.is_exact:
+        return x
+    lo = min(x.start, x.prec)
+    return make_series(x.ring, lo, [x.coeff(i) for i in range(lo, x.prec)] + extra, x.prec + len(extra))
+
+
+class TestEvaluatorOracles:
+    @given(eval_cases())
+    def test_eta_matches_defining_sum(self, case):
+        bits, _, x, y, _, _ = case
+        assert eval_eta(bits, x, y) == eta_reference(bits, x, y)
+
+    @given(eval_cases())
+    def test_precision_soundness(self, case):
+        # knowing more of an input keeps every stored output coefficient and
+        # never lowers the output precision
+        bits, n, x, y, first, extra = case
+        x2, y2 = (extend(x, extra), y) if first else (x, extend(y, extra))
+        for f in (lambda u, v: eval_eta(bits, u, v), lambda u, v: eval_basis_omega(n, u, v)):
+            before, after = f(x, y), f(x2, y2)
+            if before.is_exact:
+                assert after == before
+                continue
+            assert after.prec is EXACT or after.prec >= before.prec
+            lo = min(before.start, after.start, before.prec)
+            assert all(before.coeff(i) == after.coeff(i) for i in range(lo, before.prec))
 
 
 class TestParamOmega:

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from congroup.cocycles import BitSeq, Eta
 from congroup.errors import BadParams, InsufficientPrecision, MalformedInput
@@ -205,3 +207,91 @@ class TestVerifySection:
         s1 = build_section(ctx, h1, 2).element
         s2 = build_section(ctx, h2, 2).element
         assert s1 == s2
+
+
+def scan_digits(ctx, h, upto):
+    """Reference digit search: at each level subtract every representative
+    and keep the single residual of valuation > k (the coset scan spelled
+    out in test_uniqueness_exhaustive).  Returns the digits, or the error
+    message for a broken table."""
+    digits, z = [], h
+    for k in range(h.valuation(), upto + 1):
+        hits = []
+        for j, rep in enumerate(ctx.reps):
+            residual = z - rep.shift(k)
+            v = residual.valuation()
+            if v is None or v > k:
+                hits.append((j, residual))
+        if len(hits) != 1:
+            return f"coset table broken at level {k}: {len(hits)} matches"
+        j, z = hits[0]
+        digits.append(j)
+    return tuple(digits)
+
+
+def expand_or_error(ctx, h, upto):
+    try:
+        return digit_expand(ctx, h, upto).digits
+    except MalformedInput as err:
+        return str(err)
+
+
+def _tailed_ctx():
+    """A validated F_3 context whose representatives c + t^2 have tails."""
+    base = make_mod_reduction_ctx(3, 2, 1)
+    reps = [zero(base.ring_h)] + [make_series(base.ring_h, 0, [c, 0, 1]) for c in (1, 2)]
+    lifts = [zero(Modulus(3, 2))] + [make_series(Modulus(3, 2), 0, [c, 0, 1]) for c in (1, 2)]
+    return SectionContext("tailed", base.ring_h, reps, lifts, base.q, base.g_identity, base.g_mul, base.g_alpha)
+
+
+def _unvalidated_ctx(reps):
+    base = make_mod_reduction_ctx(2, 2, 1)
+    return SectionContext(
+        "unvalidated", F2, reps, base.lifts, base.q, base.g_identity, base.g_mul, base.g_alpha,
+        validate=False,
+    )
+
+
+# two reps with constant term 1 (a level with coefficient 1 has 2 matches);
+# a rep 1 + t^-1 that lies outside U (a level with coefficient 1 has none)
+SHARED_CONSTANT_CTX = _unvalidated_ctx([zero(F2), one_term(F2, 0), parse(F2, "1*t^0 + 1*t^1")])
+NEGATIVE_POWER_CTX = _unvalidated_ctx([zero(F2), parse(F2, "1*t^-1 + 1*t^0")])
+
+ORACLE_CTXS = [
+    make_mod_reduction_ctx(2, 2, 1),
+    make_mod_reduction_ctx(3, 4, 3),
+    make_ext_projection_ctx(Eta(F2, BitSeq((1, 0, 1)))),
+    make_ext_projection_ctx(Eta(Modulus(3), BitSeq((1, 1)))),
+    _tailed_ctx(),
+    SHARED_CONSTANT_CTX,
+    NEGATIVE_POWER_CTX,
+]
+
+
+@st.composite
+def expansion_cases(draw):
+    ctx = draw(st.sampled_from(ORACLE_CTXS))
+    q = ctx.ring_h.q
+    start = draw(st.integers(-5, 5))
+    cs = [draw(st.integers(1, q - 1))] + draw(st.lists(st.integers(0, q - 1), max_size=40))
+    upto = start + draw(st.integers(0, 45))
+    if draw(st.booleans()):
+        h = make_series(ctx.ring_h, start, cs)
+    else:
+        h = make_series(ctx.ring_h, start, cs, max(start + len(cs), upto + 1) + draw(st.integers(0, 3)))
+    return ctx, h, upto
+
+
+class TestDigitExpandOracle:
+    @given(expansion_cases())
+    def test_matches_coset_scan(self, case):
+        ctx, h, upto = case
+        assert expand_or_error(ctx, h, upto) == scan_digits(ctx, h, upto)
+
+    def test_broken_tables(self):
+        h = parse(F2, "1*t^2 + 1*t^3")
+        for ctx, n in ((SHARED_CONSTANT_CTX, 2), (NEGATIVE_POWER_CTX, 0)):
+            want = f"coset table broken at level 2: {n} matches"
+            assert scan_digits(ctx, h, 5) == want
+            with pytest.raises(MalformedInput, match=want):
+                digit_expand(ctx, h, 5)

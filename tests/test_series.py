@@ -299,6 +299,84 @@ class TestRingMulOracle:
         assert any(x.prec is not EXACT and x.prec + y.start <= x.start + y.start for x, y in ORACLE_EXAMPLES)
 
 
+def add_reference(x, y):
+    """Sum read coefficient by coefficient over the shared window."""
+    if x.is_exact and y.is_exact:
+        lo = min(x.start, y.start)
+        hi = max(x.start + len(x.coeffs), y.start + len(y.coeffs), lo)
+        return make_series(x.ring, lo, [x.coeff(i) + y.coeff(i) for i in range(lo, hi)])
+    prec = min(p for p in (x.prec, y.prec) if p is not EXACT)
+    lo = min(x.start, y.start, prec)
+    return make_series(x.ring, lo, [x.coeff(i) + y.coeff(i) for i in range(lo, prec)], prec)
+
+
+def agree_reference(x, y):
+    """Agreement read coefficient by coefficient over the shared window."""
+    if x.is_exact and y.is_exact:
+        return dict(x.support()) == dict(y.support())
+    bound = min(p for p in (x.prec, y.prec) if p is not EXACT)
+    lo = min(x.start, y.start, bound)
+    return all(x.coeff(i) == y.coeff(i) for i in range(lo, bound))
+
+
+@st.composite
+def lean_pairs(draw):
+    """Pairs over one ring: independent operands, or y a cut of x (so the
+    two agree), of -x (so a sum cancels its leading terms), or a cut of x
+    with one residue changed."""
+    ring = draw(st.sampled_from((F2, Z9, Modulus(65537))))
+    x = draw(oracle_series(ring))
+    mode = draw(st.sampled_from(("independent", "cut", "negated", "changed")))
+    if mode == "independent":
+        return x, draw(oracle_series(ring))
+    top = x.start + len(x.coeffs) if x.is_exact else x.prec
+    cut = draw(st.integers(x.start - 3, top + 3))
+    if not x.is_exact:
+        cut = min(cut, x.prec)
+    lo = min(x.start, cut)
+    cs = [x.coeff(i) for i in range(lo, cut)]
+    if mode == "negated":
+        cs = [-c for c in cs]
+    if mode == "changed" and cs:
+        i = draw(st.integers(0, len(cs) - 1))
+        cs[i] += 1
+    return x, make_series(ring, lo, cs, cut if draw(st.booleans()) else EXACT)
+
+
+class TestLeanSeriesLayer:
+    """The slice-based operations against coefficient-wise references, and
+    every result of the operations that skip canonicalization in canonical
+    form."""
+
+    @given(lean_pairs(), st.integers(-300, 300))
+    def test_results_are_canonical(self, pair, k):
+        x, y = pair
+        for r in (x.shift(k), y.shift(k), -x, -y, x + y, y + x, x - y, y - x):
+            assert r == series.TruncSeries(r.ring, r.start, r.coeffs, r.prec)
+
+    @given(lean_pairs())
+    def test_add_and_agree_match_references(self, pair):
+        x, y = pair
+        assert x + y == add_reference(x, y)
+        assert x - y == add_reference(x, make_series(y.ring, y.start, [-c for c in y.coeffs], y.prec))
+        assert x.agree(y) == agree_reference(x, y) == y.agree(x)
+
+    @given(lean_pairs(), st.integers(0, 400))
+    def test_agree_through_matches_reference(self, pair, at):
+        x, y = pair
+        known = [s.prec for s in (x, y) if not s.is_exact]
+        idx = min(x.start, y.start) - 3 + at
+        if known:
+            idx = min(idx, min(known) - 1)
+        lo = min(x.start, y.start, idx)
+        want = all(x.coeff(i) == y.coeff(i) for i in range(lo, idx + 1))
+        assert x.agree_through(y, idx) == want
+
+    def test_shift_keeps_the_exact_zero(self):
+        assert zero(F2).shift(5) == zero(F2) and zero(F2).shift(5).start == 0
+        assert zero(F2, 3).shift(-5) == zero(F2, -2)
+
+
 class TestAbsValue:
     def test_exact_value(self):
         x = parse(F3, "1*t^-2 + 1*t^0")
@@ -352,8 +430,9 @@ class TestPrecisionSoundness:
 
     def test_unary_ops(self):
         rng = random.Random(17)
-        for _ in range(100):
-            x = rand_series(rng, Z9)
+        # 100 short windows, then 40 wide ones
+        for width in [8] * 100 + [300] * 40:
+            x = rand_series(rng, Z9, width=width)
             x2 = self.extend(rng, x)
             assert negate(x).agree(negate(x2))
             assert int_mul(3, x).agree(int_mul(3, x2))
