@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import EmptyWindowWarning, MalformedInput, RingMismatch, WindowTooSmall
-from .series import EXACT, Modulus, TruncSeries, one_term, ring_mul, shift, zero
+from .series import EXACT, Modulus, TruncSeries, _sum, one_term, ring_mul, shift, zero
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,9 @@ class BitSeq:
             raise MalformedInput("bit window must have length >= 1")
         if any(b not in (0, 1) for b in self.bits):
             raise MalformedInput("entries must be bits")
+        # the positions n with s_n = 1, read by every eta evaluation; an
+        # attribute, not a field, so ==, hash and repr see only the bits
+        object.__setattr__(self, "_ones", tuple(n for n, b in enumerate(self.bits, start=1) if b))
 
     @classmethod
     def from_string(cls, text: str) -> "BitSeq":
@@ -126,14 +129,15 @@ def eval_basis_omega(n: int, x: TruncSeries, y: TruncSeries) -> TruncSeries:
     give an exact value (in particular an exact zero input annihilates).  An
     empty known window returns the zero at the sound precision, silently;
     :func:`evaluate` is where that is reported."""
-    x._check_ring(y)
-    if x.is_exact_zero() or y.is_exact_zero():
+    if x.ring is not y.ring:
+        x._check_ring(y)
+    if (x.prec is EXACT and not x.coeffs) or (y.prec is EXACT and not y.coeffs):
         return zero(x.ring)
     lo = max(x.start, y.start - n)
     bounds = []
-    if not x.is_exact:
+    if x.prec is not EXACT:
         bounds.append(x.prec)
-    if not y.is_exact:
+    if y.prec is not EXACT:
         bounds.append(y.prec - n)
     if not bounds:
         prec = EXACT
@@ -164,8 +168,10 @@ def eval_eta(s: BitSeq, x: TruncSeries, y: TruncSeries) -> TruncSeries:
         return zero(x.ring)
     sx, sy = x.start, y.start
     xs, ys = x.coeffs, y.coeffs
+    x_end, y_end = sx + len(xs), sy + len(ys)
+    x_prec, y_prec = x.prec, y.prec
     L = s.window
-    ones = [n for n, b in enumerate(s.bits, start=1) if b]
+    ones = s._ones
     lo = max(sx + 1, -((-(sx + sy)) // 2))
     d, cs = lo, []
     while True:
@@ -173,14 +179,14 @@ def eval_eta(s: BitSeq, x: TruncSeries, y: TruncSeries) -> TruncSeries:
         n_max = d - sx
         if n_max > L:
             break
-        if not (x.is_exact or d - n_min < x.prec):
+        if x_prec is not EXACT and d - n_min >= x_prec:
             break
-        if not (y.is_exact or d + n_max < y.prec):
+        if y_prec is not EXACT and d + n_max >= y_prec:
             break
         # only the set bits with d - n and d + n inside the stored ranges
         # contribute; past them an exact input is zero
-        first = bisect_left(ones, max(n_min, d - sx - len(xs) + 1))
-        last = bisect_right(ones, min(n_max, sy + len(ys) - 1 - d))
+        first = bisect_left(ones, max(n_min, d - x_end + 1))
+        last = bisect_right(ones, min(n_max, y_end - 1 - d))
         a, b = d - sx, d - sy
         cs.append(sum([xs[a - n] * ys[b + n] for n in ones[first:last]]))
         d += 1
@@ -190,7 +196,8 @@ def eval_eta(s: BitSeq, x: TruncSeries, y: TruncSeries) -> TruncSeries:
 
 
 def eval_param_omega(a: ParamSeq, x: TruncSeries, y: TruncSeries) -> TruncSeries:
-    """omega_a(x, y) = sum over the stored window of a_n * omega_n(x, y).
+    """omega_a(x, y) = sum over the stored window of a_n * omega_n(x, y),
+    the terms added by one summation (a single construction for the sum).
 
     For exact inputs the index range of basis terms that could be nonzero is
     [start_y - end_x, end_y - start_x]; if it leaves the window the result
@@ -209,29 +216,28 @@ def eval_param_omega(a: ParamSeq, x: TruncSeries, y: TruncSeries) -> TruncSeries
                 f" stored [{a.lo}, {a.hi}]",
                 needed=(need_lo, need_hi),
             )
-    acc = zero(a.ring)
-    for n, a_n in a.entries:
-        acc = acc + ring_mul(a_n, eval_basis_omega(n, x, y))
-    return acc
+    return _sum(a.ring, [ring_mul(a_n, eval_basis_omega(n, x, y)) for n, a_n in a.entries])
 
 
 def coboundary_potential(terms: Sequence[tuple[int, TruncSeries]], x: TruncSeries) -> TruncSeries:
     """f(x) = sum_k u_k omega_k(x, x); continuous, equivariant, f(0) = 0."""
-    acc = zero(x.ring)
-    for k, u in terms:
-        acc = acc + ring_mul(u, eval_basis_omega(k, x, x))
-    return acc
+    return _sum(x.ring, [ring_mul(u, eval_basis_omega(k, x, x)) for k, u in terms])
+
+
+def _coboundary_terms(terms: Sequence[tuple[int, TruncSeries]], x: TruncSeries, y: TruncSeries) -> list[TruncSeries]:
+    """The products u_k (omega_k(x,y) + omega_k(y,x)), one per term.  Each
+    symmetrized pair is added before its product: its canonical start sets
+    the product's precision bound."""
+    return [ring_mul(u, eval_basis_omega(k, x, y) + eval_basis_omega(k, y, x)) for k, u in terms]
 
 
 def eval_coboundary(terms: Sequence[tuple[int, TruncSeries]], x: TruncSeries, y: TruncSeries) -> TruncSeries:
     """The coboundary f(x) + f(y) - f(x+y) of the quadratic potential,
-    computed through its bilinear expansion -sum_k u_k (omega_k(x,y) + omega_k(y,x))."""
+    computed through its bilinear expansion -sum_k u_k (omega_k(x,y) + omega_k(y,x)):
+    the products are negated and added by one summation, a single
+    construction for the whole sum."""
     x._check_ring(y)
-    acc = zero(x.ring)
-    for k, u in terms:
-        mixed = eval_basis_omega(k, x, y) + eval_basis_omega(k, y, x)
-        acc = acc + ring_mul(u, mixed)
-    return -acc
+    return _sum(x.ring, _coboundary_terms(terms, x, y), negate=True)
 
 
 def eval_coboundary_direct(terms: Sequence[tuple[int, TruncSeries]], x: TruncSeries, y: TruncSeries) -> TruncSeries:
@@ -336,9 +342,10 @@ class Transformed(Cocycle):
         bx = ring_mul(self.b_unit, x)
         by = ring_mul(self.b_unit, y)
         out = ring_mul(self.a_unit, self.base(bx, by))
-        if self.cob:
-            out = out + eval_coboundary(self.cob, x, y)
-        return out
+        if not self.cob:
+            return out
+        # out + eval_coboundary(cob, x, y) as one sum: -(-out + sum of terms)
+        return _sum(out.ring, [-out] + _coboundary_terms(self.cob, x, y), negate=True)
 
 
 EvalTarget = Cocycle | Callable[[TruncSeries, TruncSeries], TruncSeries]

@@ -24,7 +24,7 @@ from .cocycles import (
     coboundary_potential,
 )
 from .errors import SpecMismatch, WindowTooSmall
-from .series import TruncSeries, one_term, zero
+from .series import TruncSeries, _sum, one_term, zero
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,12 @@ class ExtElement:
     def __mul__(self, other: "ExtElement") -> "ExtElement":
         self._check(other)
         w = self.spec(self.g, other.g)
-        return ExtElement(self.a + other.a + w, self.g + other.g, self.spec)
+        return ExtElement(_sum(self.a.ring, (self.a, other.a, w)), self.g + other.g, self.spec)
 
     def inverse(self) -> "ExtElement":
         gi = -self.g
         w = self.spec(self.g, gi)
-        return ExtElement(-self.a - w, gi, self.spec)
+        return ExtElement(_sum(self.a.ring, (self.a, w), negate=True), gi, self.spec)
 
     def alpha(self, k: int = 1) -> "ExtElement":
         """The contractive automorphism (shift on both components), iterated k times."""

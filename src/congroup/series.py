@@ -12,6 +12,11 @@ finitely supported and fully known.  Values are immutable and canonical: the
 first stored residue is nonzero (or the window is empty), so equal knowledge
 compares equal bit for bit.  The contractive shift automorphism is
 ``x -> t x``, and the absolute value is p^(-N) with N the least nonzero index.
+
+Every addition goes through one summation kernel, :func:`_sum`, which builds
+a sum of any number of parts (negated on request) as a single series; ``+``
+is its two-part case, and the cocycle and extension layers pass it whole
+lists of terms instead of accumulating them one ``+`` at a time.
 """
 
 from __future__ import annotations
@@ -74,9 +79,12 @@ class Modulus:
             raise MalformedInput(f"p = {self.p!r} is not a prime integer")
         if not isinstance(self.m, int) or self.m < 1:
             raise MalformedInput(f"m = {self.m!r} must be a positive integer")
-        # q = p^m is read once per coefficient of every construction; it is
-        # an attribute, not a field, so ==, hash and repr see only (p, m)
+        # q = p^m is read once per coefficient of every construction, and the
+        # exact zero is built once here for zero() and for every sum or
+        # product with nothing to add; both are attributes, not fields, so
+        # ==, hash and repr see only (p, m)
         object.__setattr__(self, "q", self.p**self.m)
+        object.__setattr__(self, "_zero", TruncSeries._canonical(self, 0, (), EXACT))
 
     def reduce(self, c: int) -> int:
         return c % self.q
@@ -124,7 +132,8 @@ class AbsValue:
         return self.value < other
 
     def __hash__(self):
-        return hash((self.p, self.exact, self.valuation))
+        # exactly what __eq__ compares: |1| over F_2 equals |1| over F_3
+        return hash((self.exact, self.value))
 
     def __repr__(self):
         if self.valuation is None:
@@ -163,10 +172,10 @@ class TruncSeries:
             start += lead
         if not cs:
             start = 0 if prec is EXACT else prec
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "prec", prec)
+        _set_ring(self, ring)
+        _set_start(self, start)
+        _set_coeffs(self, tuple(cs))
+        _set_prec(self, prec)
 
     @classmethod
     def _canonical(cls, ring: Modulus, start: int, coeffs: tuple[int, ...], prec: int | None) -> "TruncSeries":
@@ -177,10 +186,10 @@ class TruncSeries:
         exactly to ``prec`` (start = prec when empty), an exact one ending in
         a nonzero residue (start = 0 when empty)."""
         self = object.__new__(cls)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "prec", prec)
+        _set_ring(self, ring)
+        _set_start(self, start)
+        _set_coeffs(self, coeffs)
+        _set_prec(self, prec)
         return self
 
     def __setattr__(self, name, value):
@@ -239,27 +248,7 @@ class TruncSeries:
             raise RingMismatch(f"{self.ring} vs {other.ring}")
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        if self.ring is not other.ring:
-            self._check_ring(other)
-        xs, ys = self.coeffs, other.coeffs
-        sx, sy = self.start, other.start
-        if self.prec is EXACT and other.prec is EXACT:
-            prec = EXACT
-            lo = min(sx, sy)
-            hi = max(sx + len(xs), sy + len(ys), lo)
-        else:
-            prec = min(p for p in (self.prec, other.prec) if p is not EXACT)
-            lo = min(sx, sy, prec)
-            hi = prec
-        # a truncated operand fills [start, prec) and prec >= hi, so only an
-        # exact operand can reach past the window and needs clipping
-        cs = [0] * (hi - lo)
-        n = min(len(xs), hi - sx)
-        if n > 0:
-            cs[sx - lo : sx - lo + n] = xs[:n]
-        for i, c in enumerate(ys[: max(0, hi - sy)], sy - lo):
-            cs[i] += c
-        return TruncSeries(self.ring, lo, cs, prec)
+        return _sum(self.ring, (self, other))
 
     def __neg__(self) -> "TruncSeries":
         q = self.ring.q
@@ -342,6 +331,61 @@ class TruncSeries:
         return format_series(self)
 
 
+# the slots' own member descriptors: __setattr__ raises, and a descriptor's
+# __set__ takes about half the time of object.__setattr__ (timeit, CPython
+# 3.11, x86-64)
+_set_ring = TruncSeries.ring.__set__
+_set_start = TruncSeries.start.__set__
+_set_coeffs = TruncSeries.coeffs.__set__
+_set_prec = TruncSeries.prec.__set__
+
+
+def _sum(ring: Modulus, parts: Sequence[TruncSeries], negate: bool = False) -> TruncSeries:
+    """The sum of ``parts`` over ``ring`` (or its negation), built as one
+    series; equal bit for bit to the left fold of ``+`` from the exact zero
+    (then unary ``-``), and raising RingMismatch where that fold would.
+
+    The precision is the least truncated prec, EXACT when every part is
+    exact.  The window starts at the least start of a part with stored
+    residues (and at most at the prec) and ends at the prec, or at the last
+    stored residue of an exact sum; every part is clipped to the window and
+    the residues are reduced once, by the one construction."""
+    prec = EXACT
+    live = []
+    for x in parts:
+        if x.ring is not ring and x.ring != ring:
+            raise RingMismatch(f"{ring} vs {x.ring}")
+        if x.prec is not EXACT and (prec is EXACT or x.prec < prec):
+            prec = x.prec
+        if x.coeffs:
+            live.append(x)
+    if prec is EXACT:
+        if not live:
+            return ring._zero
+        lo = min([x.start for x in live])
+        hi = max([x.start + len(x.coeffs) for x in live])
+    else:
+        lo = min([x.start for x in live] + [prec])
+        hi = prec
+    cs = [0] * (hi - lo)
+    first = True
+    for x in live:
+        n = hi - x.start
+        if n <= 0:
+            continue  # a part that starts at or past the prec adds nothing
+        xs = x.coeffs[:n]
+        i = x.start - lo
+        if first:
+            cs[i : i + len(xs)] = xs
+            first = False
+        else:
+            for i, c in enumerate(xs, i):
+                cs[i] += c
+    if negate:
+        cs = [-c for c in cs]
+    return TruncSeries(ring, lo, cs, prec)
+
+
 # -- module-level operation surface ----------------------------------------
 
 
@@ -351,7 +395,10 @@ def make_series(ring: Modulus, start: int, coeffs: Sequence[int], prec: int | No
 
 
 def zero(ring: Modulus, prec: int | None = EXACT) -> TruncSeries:
-    return TruncSeries(ring, 0 if prec is EXACT else prec, [], prec)
+    """The exact zero, or the zero known below ``prec`` (start = prec)."""
+    if prec is EXACT:
+        return ring._zero
+    return TruncSeries._canonical(ring, prec, (), prec)
 
 
 def one_term(ring: Modulus, idx: int, c: int = 1) -> TruncSeries:
@@ -389,14 +436,15 @@ def ring_mul(x: TruncSeries, y: TruncSeries) -> TruncSeries:
     :data:`_SCHOOLBOOK_PAIRS` coefficient pairs are multiplied by a plain
     schoolbook loop instead, since packing costs more than a handful of
     multiplications."""
-    x._check_ring(y)
-    if x.is_exact_zero() or y.is_exact_zero():
+    if x.ring is not y.ring:
+        x._check_ring(y)
+    if (x.prec is EXACT and not x.coeffs) or (y.prec is EXACT and not y.coeffs):
         return zero(x.ring)
     lo = x.start + y.start
     bounds = []
-    if not x.is_exact:
+    if x.prec is not EXACT:
         bounds.append(x.prec + y.start)
-    if not y.is_exact:
+    if y.prec is not EXACT:
         bounds.append(y.prec + x.start)
     if not bounds:
         hi = x.start + len(x.coeffs) + y.start + len(y.coeffs) - 1

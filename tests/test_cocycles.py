@@ -6,10 +6,24 @@ import warnings
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_bits, rand_cob_terms, rand_param_seq, rand_series, rand_unit, spec_variants
+from conftest import (
+    SOUNDNESS_RINGS,
+    assert_refines,
+    extend,
+    known_further,
+    rand_bits,
+    rand_cob_terms,
+    rand_param_seq,
+    rand_series,
+    rand_unit,
+    short_series,
+    spec_variants,
+    sum_specs,
+    transforms,
+)
 
 from congroup.cocycles import (
     BasisOmega,
@@ -33,7 +47,7 @@ from congroup.cocycles import (
 )
 from congroup.errors import EmptyWindowWarning, MalformedInput, WindowTooSmall
 from congroup.extensions import ExtElement
-from congroup.series import EXACT, Modulus, make_series, one_term, parse, shift, zero
+from congroup.series import EXACT, Modulus, make_series, one_term, parse, ring_mul, shift, zero
 
 F2 = Modulus(2)
 F3 = Modulus(3)
@@ -122,6 +136,15 @@ class TestEta:
             assert got.agree(want)
             if s.bit(n):
                 assert got.valuation() == n
+
+    def test_set_bits_are_not_a_field(self):
+        # eval_eta reads the set-bit positions stored at construction;
+        # ==, hash and repr still see only the bits
+        s = BitSeq((0, 1, 1, 0, 1))
+        assert s._ones == (2, 3, 5)
+        assert s == BitSeq.from_string("01101") and hash(s) == hash(BitSeq((0, 1, 1, 0, 1)))
+        assert repr(s) == "BitSeq(bits=(0, 1, 1, 0, 1))"
+        assert BitSeq((0, 0))._ones == ()
 
     def test_probe_reverse_vanishes(self):
         s = BitSeq((1, 1, 0, 1))
@@ -224,14 +247,6 @@ def eval_cases(draw):
     return bits, draw(st.integers(-20, 20)), x, y, draw(st.booleans()), extra
 
 
-def extend(x, extra):
-    """x with the residues ``extra`` stored past its prec (exact x as is)."""
-    if x.is_exact:
-        return x
-    lo = min(x.start, x.prec)
-    return make_series(x.ring, lo, [x.coeff(i) for i in range(lo, x.prec)] + extra, x.prec + len(extra))
-
-
 class TestEvaluatorOracles:
     @given(eval_cases())
     def test_eta_matches_defining_sum(self, case):
@@ -245,13 +260,32 @@ class TestEvaluatorOracles:
         bits, n, x, y, first, extra = case
         x2, y2 = (extend(x, extra), y) if first else (x, extend(y, extra))
         for f in (lambda u, v: eval_eta(bits, u, v), lambda u, v: eval_basis_omega(n, u, v)):
-            before, after = f(x, y), f(x2, y2)
-            if before.is_exact:
-                assert after == before
-                continue
-            assert after.prec is EXACT or after.prec >= before.prec
-            lo = min(before.start, after.start, before.prec)
-            assert all(before.coeff(i) == after.coeff(i) for i in range(lo, before.prec))
+            assert_refines(f(x, y), f(x2, y2))
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_sum_precision_soundness(self, data):
+        # the same property for the evaluations that add several terms:
+        # eval_param_omega, eval_coboundary and Transformed
+        ring = data.draw(st.sampled_from(SOUNDNESS_RINGS))
+        spec = data.draw(sum_specs(ring))
+        x, y = data.draw(short_series(ring)), data.draw(short_series(ring))
+        x2, y2 = data.draw(known_further(x, y))
+        try:
+            before = spec(x, y)
+        except WindowTooSmall:
+            # only exact inputs prove a parameter window short, and they
+            # have nothing to extend
+            assert (x2, y2) == (x, y)
+            return
+        assert_refines(before, spec(x2, y2))
+
+    def test_sum_construction_count(self, count_constructions):
+        # one construction per basis term, one per product and one for the
+        # whole sum: 3 x 2 + 1
+        spec = ParamOmega(ParamSeq.from_dict(F3, (-1, 1), {-1: one_term(F3, 0), 0: one_term(F3, 1, 2), 1: parse(F3, "1*t^0 + 1*t^1")}))
+        x, y = parse(F3, "1*t^0 + 2*t^1 + 1*t^2 + O(t^6)"), parse(F3, "2*t^0 + 1*t^1 + 1*t^3 + O(t^7)")
+        assert count_constructions(spec, x, y) == 7
 
 
 class TestParamOmega:
@@ -350,6 +384,24 @@ class TestTransformed:
                 got = evaluate(spec, one_term(F3, 0), one_term(F3, 2 * n))
                 want = a.abs_val().value * b.abs_val().value / F3.p**n
                 assert got.abs_val().exact and got.abs_val().value == want
+
+    @given(st.data())
+    def test_matches_definition(self, data):
+        # a * base(b x, b y) plus the coboundary: bit for bit the sum of the
+        # two evaluations, and at shared precision the defining formula
+        # f(x) + f(y) - f(x + y)
+        ring = data.draw(st.sampled_from(SOUNDNESS_RINGS))
+        spec = data.draw(transforms(ring))
+        x, y = data.draw(short_series(ring)), data.draw(short_series(ring))
+        try:
+            scaled = ring_mul(spec.a_unit, spec.base(ring_mul(spec.b_unit, x), ring_mul(spec.b_unit, y)))
+        except WindowTooSmall:
+            with pytest.raises(WindowTooSmall):
+                spec(x, y)
+            return
+        got = spec(x, y)
+        assert got == scaled + eval_coboundary(spec.cob, x, y)
+        assert got.agree(scaled + eval_coboundary_direct(spec.cob, x, y))
 
     def test_rejects_non_unit(self):
         with pytest.raises(MalformedInput):

@@ -1,15 +1,28 @@
 """Group axioms of A x_w A at tracked precision, the contractive
 automorphism, commutators, centre probes, and equivalence maps."""
 
+import operator
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import rand_cob_terms, rand_series, spec_variants
+from conftest import (
+    SOUNDNESS_RINGS,
+    assert_refines,
+    known_further,
+    rand_cob_terms,
+    rand_series,
+    short_series,
+    spec_variants,
+    sum_specs,
+)
 
 from congroup.cocycles import (
     BitSeq,
     Eta,
+    QuadCoboundary,
     Transformed,
     antisymmetrize,
 )
@@ -299,3 +312,39 @@ class TestNilpotency:
         report = nilpotency_probe(spec, [(u, v, w)])
         assert not report.ok
         assert report.to_json()["failed"] == 1
+
+
+class TestPrecisionSoundness:
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_mul_and_inverse(self, data):
+        # knowing more of any component keeps every stored coefficient of a
+        # product or an inverse and never lowers its precision
+        ring = data.draw(st.sampled_from(SOUNDNESS_RINGS))
+        spec = data.draw(sum_specs(ring))
+        parts = [data.draw(short_series(ring)) for _ in range(4)]
+        known = data.draw(known_further(*parts))
+        u, v = ExtElement(parts[0], parts[1], spec), ExtElement(parts[2], parts[3], spec)
+        u2, v2 = ExtElement(known[0], known[1], spec), ExtElement(known[2], known[3], spec)
+        for op, args, args2 in ((operator.mul, (u, v), (u2, v2)), (ExtElement.inverse, (u,), (u2,))):
+            try:
+                before = op(*args)
+            except WindowTooSmall:
+                # only exact g components prove a parameter window short,
+                # and they have nothing to extend
+                with pytest.raises(WindowTooSmall):
+                    op(*args2)
+                continue
+            after = op(*args2)
+            assert_refines(before.a, after.a)
+            assert_refines(before.g, after.g)
+
+
+class TestConstructionCount:
+    def test_mul_over_a_coboundary(self, count_constructions):
+        # per term: omega_k(x,y), omega_k(y,x), their sum and the product;
+        # then the cocycle sum, the kernel sum a1 + a2 + w and g1 + g2
+        spec = QuadCoboundary(F3, ((0, one_term(F3, 0)), (1, parse(F3, "1*t^0 + 2*t^1"))))
+        u = ExtElement(parse(F3, "1*t^0 + O(t^5)"), parse(F3, "1*t^0 + 2*t^1 + 1*t^2 + O(t^6)"), spec)
+        v = ExtElement(parse(F3, "2*t^1"), parse(F3, "2*t^0 + 1*t^1 + 1*t^2 + 1*t^3"), spec)
+        assert count_constructions(operator.mul, u, v) == 4 * 2 + 3

@@ -1,7 +1,9 @@
 """Core arithmetic: construction, canonical form, precision tracking,
 the ultrametric absolute value, and the text grammar."""
 
+import operator
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -377,7 +379,76 @@ class TestLeanSeriesLayer:
         assert zero(F2, 3).shift(-5) == zero(F2, -2)
 
 
+@st.composite
+def sum_parts(draw):
+    """0-5 parts over one ring: fresh series (exact or truncated, windows up
+    to 300), truncated zeros, negations of earlier parts (so the sum
+    cancels) and cuts of earlier parts, exact or truncated."""
+    ring = draw(st.sampled_from((F2, Z9, Modulus(65537))))
+    parts = []
+    for _ in range(draw(st.integers(0, 5))):
+        mode = draw(st.sampled_from(("fresh", "zero", "negated", "cut") if parts else ("fresh", "zero")))
+        if mode == "fresh":
+            parts.append(draw(oracle_series(ring)))
+        elif mode == "zero":
+            parts.append(zero(ring, draw(st.integers(-25, 330))))
+        else:
+            x = draw(st.sampled_from(parts))
+            if mode == "negated":
+                parts.append(-x)
+                continue
+            top = x.start + len(x.coeffs) if x.is_exact else x.prec
+            cut = draw(st.integers(x.start - 3, top + 3))
+            if not x.is_exact:
+                cut = min(cut, x.prec)
+            lo = min(x.start, cut)
+            cs = [x.coeff(i) for i in range(lo, cut)]
+            parts.append(make_series(ring, lo, cs, cut if draw(st.booleans()) else EXACT))
+    return ring, parts
+
+
+class TestSumKernel:
+    """``_sum`` against the left fold from the exact zero of ``+`` and of
+    the coefficient-wise ``add_reference``."""
+
+    @given(sum_parts(), st.booleans())
+    def test_matches_left_fold(self, case, negate):
+        ring, parts = case
+        want = reduce(add_reference, parts, zero(ring))
+        assert reduce(operator.add, parts, zero(ring)) == want
+        got = series._sum(ring, parts, negate)
+        assert got == (-want if negate else want)
+        assert got == series.TruncSeries(ring, got.start, got.coeffs, got.prec)
+
+    @given(sum_parts(), st.integers(0, 5), st.booleans())
+    def test_foreign_part_raises(self, case, at, negate):
+        ring, parts = case
+        parts.insert(min(at, len(parts)), one_term(F3, 0))
+        with pytest.raises(RingMismatch) as folded:
+            reduce(operator.add, parts, zero(ring))
+        with pytest.raises(RingMismatch) as summed:
+            series._sum(ring, parts, negate)
+        assert str(summed.value) == str(folded.value)
+
+    def test_equal_rings_sum(self):
+        # rings compare by value: a second Modulus(2) is the same ring
+        x, y = one_term(F2, 0), one_term(Modulus(2), 0, 1)
+        assert series._sum(F2, [x, y]) == zero(F2)
+        assert series._sum(F2, [x, zero(F2, 4), y]) == zero(F2, 4)
+
+
 class TestAbsValue:
+    def test_hash_agrees_with_eq(self):
+        pairs = [
+            (AbsValue(2, True, 0), AbsValue(3, True, 0)),
+            (one_term(F2, 0).abs_val(), one_term(F3, 0).abs_val()),
+            (zero(F2).abs_val(), zero(F3).abs_val()),
+            (AbsValue(2, True, 2), AbsValue(4, True, 1)),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert len({AbsValue(2, True, 1), AbsValue(2, False, 1), AbsValue(3, True, 1)}) == 3
+
     def test_exact_value(self):
         x = parse(F3, "1*t^-2 + 1*t^0")
         v = abs_val(x)
