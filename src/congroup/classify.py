@@ -48,7 +48,10 @@ class FiniteAbelianType:
 
 @dataclass(frozen=True)
 class NuTable:
-    """Finitely supported multiplicities nu(p, n) of the blocks Z/p^n((t))."""
+    """Finitely supported multiplicities nu(p, n) of the blocks Z/p^n((t)).
+
+    Table equality (``==``) decides isomorphism of the torsion contraction
+    groups."""
 
     entries: tuple[tuple[tuple[int, int], int], ...]
 
@@ -148,11 +151,6 @@ def primary_decompose(group: FiniteAbelianType) -> NuTable:
         for p, k in _factorize(order).items():
             table[(p, k)] = table.get((p, k), 0) + 1
     return NuTable.from_dict(table)
-
-
-def iso_test(t1: NuTable, t2: NuTable) -> bool:
-    """Table equality decides isomorphism of the torsion contraction groups."""
-    return t1 == t2
 
 
 @dataclass(frozen=True)
@@ -261,7 +259,7 @@ class RationalPoly:
 
 
 _TERM_RE = re.compile(
-    r"^\s*(?P<coeff>[0-9]+(?:/[0-9]+)?)?\s*(?:\*?\s*(?P<var>[xX])(?:\^(?P<pow>[0-9]+))?)?\s*$"
+    r"^\s*(?P<coeff>[0-9]+(?:/0*[1-9][0-9]*)?)?\s*(?:\*?\s*(?P<var>[xX])(?:\^(?P<pow>[0-9]+))?)?\s*$"
 )
 
 
@@ -283,7 +281,7 @@ def parse_poly(text: str) -> RationalPoly:
         else:
             power = 0
         coeffs[power] = coeffs.get(power, Fraction(0)) + sign * c
-    degree = max(coeffs)
+    degree = max(coeffs, default=0)
     if degree < 1:
         raise DegreeZero("constant polynomials have no contraction block")
     if coeffs.get(degree) != 1:
@@ -401,15 +399,18 @@ def spec_iso_test(s1: ContractionSpec, s2: ContractionSpec) -> bool:
 
 
 def spec_from_json(blob) -> ContractionSpec:
-    if isinstance(blob, str):
-        blob = json.loads(blob)
-    blocks = []
-    for b in blob.get("blocks", []):
-        place = b["place"]
-        if place != INF_PLACE:
-            place = int(place)
-        blocks.append(Block(place, parse_poly(b["poly"]), int(b["n"]), int(b["mult"])))
-    nu = NuTable.from_dict(
-        {(int(e["p"]), int(e["n"])): int(e["mult"]) for e in blob.get("nu", [])}
-    )
-    return ContractionSpec(tuple(blocks), nu)
+    """The tuple of a JSON object or its text, as :meth:`ContractionSpec.to_json`
+    writes it; text that is not such an object raises MalformedInput."""
+    try:
+        if isinstance(blob, str):
+            blob = json.loads(blob)
+        blocks = []
+        for b in blob.get("blocks", []):
+            place = b["place"]
+            if place != INF_PLACE:
+                place = int(place)
+            blocks.append(Block(place, parse_poly(b["poly"]), int(b["n"]), int(b["mult"])))
+        nu = {(int(e["p"]), int(e["n"])): int(e["mult"]) for e in blob.get("nu", [])}
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise MalformedInput(f"bad classification tuple: {err!r}") from err
+    return ContractionSpec(tuple(blocks), NuTable.from_dict(nu))

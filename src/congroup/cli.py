@@ -10,6 +10,7 @@ elements as ``(<series> ; <series>)``.  Exit codes: 0 success or PASS,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -38,7 +39,7 @@ from .cocycles import (
     evaluate,
 )
 from .errors import CongroupError
-from .extensions import ExtElement, center_test, commutator, ext_alpha
+from .extensions import ExtElement, center_test, commutator
 from .fingerprint import fingerprint
 from .sections import build_section, make_ext_projection_ctx, make_mod_reduction_ctx, verify_section
 from .selftest import CRITERIA, rand_series
@@ -294,13 +295,16 @@ def cmd_ext(args) -> int:
         out = elems[0].inverse()
     elif args.op == "alpha":
         need(1)
-        out = ext_alpha(elems[0], args.k)
+        out = elems[0].alpha(args.k)
     elif args.op == "comm":
         need(2)
         out = commutator(elems[0], elems[1])
     elif args.op == "center":
         need(1)
-        probes = [int(x) for x in args.probes.split(",")] if args.probes else None
+        try:
+            probes = [int(x) for x in args.probes.split(",")] if args.probes else None
+        except ValueError:
+            raise UsageError(f"bad probes {args.probes!r}, expected comma-separated degrees")
         verdict = center_test(elems[0], probes)
         lines = [verdict.verdict]
         if verdict.witness is not None:
@@ -319,9 +323,10 @@ def cmd_fingerprint(args) -> int:
     probe_rng, trials = None, 1
     if args.probes:
         kind, _, n = args.probes.partition(":")
-        if kind != "random":
+        n = n or "1"
+        if kind != "random" or not n.isdecimal():
             raise UsageError(f"bad probes {args.probes!r}, expected random:N")
-        probe_rng, trials = random.Random(args.seed), int(n or "1")
+        probe_rng, trials = random.Random(args.seed), int(n)
     got, profile = fingerprint(spec, args.window, args.budget, probe_rng, trials)
     blob = got.to_json()
     blob["profile"] = profile.to_json()["profile"]
@@ -389,7 +394,7 @@ def cmd_classify(args) -> int:
         f = parse_poly(args.poly)
         if args.place == "inf":
             ok, test = schur_cohn(f), "schur-cohn"
-        elif args.place.startswith("p:"):
+        elif args.place.startswith("p:") and args.place[2:].isdecimal():
             ok, test = omega_p_contractive(f, int(args.place[2:])), "p-adic-valuation"
         else:
             raise UsageError(f"bad place {args.place!r}, expected inf or p:<prime>")
@@ -400,8 +405,12 @@ def cmd_classify(args) -> int:
         )
         return 0
     if args.what == "spec":
-        with open(args.file) as fh:
-            spec = spec_from_json(fh.read())
+        try:
+            with open(args.file) as fh:
+                text = fh.read()
+        except OSError as err:
+            raise UsageError(f"cannot read classification tuple {args.file!r}: {err}")
+        spec = spec_from_json(text)
         canon = canonicalize_spec(spec)
         print(json.dumps(canon.to_json(), sort_keys=True))
         return 0
@@ -423,27 +432,24 @@ def cmd_selftest(args) -> int:
         if not all(v.isdecimal() and 1 <= int(v) <= len(CRITERIA) for v in parts):
             raise UsageError(f"--only takes comma-separated criterion numbers 1..{len(CRITERIA)}, got {args.only!r}")
         wanted = sorted({int(v) for v in parts})
-    results = []
-    for n in wanted:
-        res = CRITERIA[n - 1](args.seed)
-        results.append(res)
-        print(res.line())
-    if args.json:
-        print(json.dumps({"format": 1, "results": [r.__dict__ for r in results]}, sort_keys=True))
+    results = [CRITERIA[n - 1](args.seed) for n in wanted]
+    _emit(args, {"format": 1, "results": [r.__dict__ for r in results]}, [r.line() for r in results])
     return 0 if all(r.passed for r in results) else 2
 
 
 # -- argument wiring ------------------------------------------------------------
 
 
-def _add_ring_flags(sub, with_m=True):
+def _add_ring_flags(sub):
     sub.add_argument("--p", type=int, required=True, help="prime of the coefficient ring")
-    if with_m:
-        sub.add_argument("--m", type=int, default=1, help="ring is Z/p^m (default m=1)")
+    sub.add_argument("--m", type=int, default=1, help="ring is Z/p^m (default m=1)")
     sub.add_argument("--json", action="store_true")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use; parsing
+    keeps no state in it, so every call of :func:`main` starts clean."""
     ap = argparse.ArgumentParser(prog="congroup", description=__doc__)
     subs = ap.add_subparsers(dest="cmd", required=True)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import EmptyWindowWarning, MalformedInput, RingMismatch, WindowTooSmall
-from .series import EXACT, Modulus, TruncSeries, _sum, one_term, ring_mul, shift, zero
+from .series import EXACT, Modulus, TruncSeries, _sum, one_term, ring_mul, zero
 
 
 @dataclass(frozen=True)
@@ -448,7 +448,7 @@ def check_equivariance(spec: EvalTarget, pairs: Iterable[tuple[TruncSeries, Trun
     for x, y in pairs:
         for k in ks:
             checked += 1
-            lhs = shift(spec(x, y), k)
+            lhs = spec(x, y).shift(k)
             rhs = spec(x.shift(k), y.shift(k))
             if not lhs.agree(rhs):
                 bad.append(Witness((x, y, one_term(x.ring, k)), lhs, rhs))

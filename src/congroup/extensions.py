@@ -75,24 +75,8 @@ def ext_iota(spec: Cocycle, a: TruncSeries) -> ExtElement:
 
 
 def ext_sigma(spec: Cocycle, g: TruncSeries) -> ExtElement:
-    """The canonical section g -> (0, g) of pr2."""
+    """The canonical section g -> (0, g) of the projection (a, g) -> g."""
     return ExtElement(zero(spec.ring), g, spec)
-
-
-def ext_mul(u: ExtElement, v: ExtElement) -> ExtElement:
-    return u * v
-
-
-def ext_inv(u: ExtElement) -> ExtElement:
-    return u.inverse()
-
-
-def ext_alpha(u: ExtElement, k: int = 1) -> ExtElement:
-    return u.alpha(k)
-
-
-def pr2(u: ExtElement) -> TruncSeries:
-    return u.g
 
 
 def commutator(u: ExtElement, v: ExtElement) -> ExtElement:
@@ -174,7 +158,7 @@ def add_coboundary(spec: Cocycle, terms: Sequence[tuple[int, TruncSeries]]) -> C
 def equivalence_map(fterms: Sequence[tuple[int, TruncSeries]], u: ExtElement) -> ExtElement:
     """The extension equivalence A x_w A -> A x_{w + w_f} A,
     (a, g) -> (a - f(g), g): a bijective homomorphism commuting with the
-    shift and fixing both the kernel copy and pr2."""
+    shift and fixing both the kernel copy and the projection to g."""
     target = add_coboundary(u.spec, fterms)
     return ExtElement(u.a - coboundary_potential(fterms, u.g), u.g, target)
 

@@ -113,7 +113,7 @@ def make_mod_reduction_ctx(p: int, m: int, k: int) -> SectionContext:
 
 
 def make_ext_projection_ctx(spec: Cocycle) -> SectionContext:
-    """q = pr2: A x_w A -> A for a central cocycle spec; l = |F|."""
+    """q(a, g) = g: A x_w A -> A for a central cocycle spec; l = |F|."""
     ring = spec.ring
     reps = [zero(ring)] + [one_term(ring, 0, c) for c in range(1, ring.q)]
     lifts = [ext_identity(spec)] + [

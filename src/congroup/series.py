@@ -406,22 +406,6 @@ def one_term(ring: Modulus, idx: int, c: int = 1) -> TruncSeries:
     return TruncSeries(ring, idx, [c], EXACT)
 
 
-def add(x: TruncSeries, y: TruncSeries) -> TruncSeries:
-    return x + y
-
-
-def negate(x: TruncSeries) -> TruncSeries:
-    return -x
-
-
-def int_mul(k: int, x: TruncSeries) -> TruncSeries:
-    return x.int_mul(k)
-
-
-def shift(x: TruncSeries, k: int) -> TruncSeries:
-    return x.shift(k)
-
-
 def ring_mul(x: TruncSeries, y: TruncSeries) -> TruncSeries:
     """Product by Kronecker substitution.  Result prec is min(prec_x + start_y,
     prec_y + start_x), the sharpest bound sound against unknown tails; a
@@ -497,10 +481,6 @@ def _kronecker(xs: Sequence[int], ys: Sequence[int], q: int, n: int) -> list[int
         out.frombytes(raw)
         return out.tolist()
     return [int.from_bytes(raw[i : i + size], order) for i in range(0, len(raw), size)]
-
-
-def abs_val(x: TruncSeries) -> AbsValue:
-    return x.abs_val()
 
 
 # -- text grammar -----------------------------------------------------------

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from congroup import cli
 from congroup.cli import main
 
 
@@ -234,3 +237,55 @@ class TestSelftestCommand:
     def test_non_integer_criterion_is_usage_error(self, capsys):
         code, out, err = run(capsys, "selftest", "--only", "x")
         assert code == 1 and out == "" and "criterion numbers 1..10" in err
+
+    def test_json_is_only_json(self, capsys):
+        code, out, _ = run(capsys, "selftest", "--seed", "0", "--only", "8", "--json")
+        blob = json.loads(out)
+        assert code == 0 and blob["format"] == 1
+        assert [(r["number"], r["passed"]) for r in blob["results"]] == [(8, True)]
+
+
+NO_POLY_SPEC = json.dumps({"format": 1, "blocks": [{"place": "inf", "n": 1, "mult": 1}]})
+
+
+@pytest.mark.parametrize(
+    "argv, spec_text",
+    [
+        (["classify", "spec", "--file", "{spec}"], None),
+        (["classify", "spec", "--file", "{spec}"], "{not json"),
+        (["classify", "spec", "--file", "{spec}"], NO_POLY_SPEC),
+        (["fingerprint", "--p", "2", "--spec", "eta:1101", "--window", "4", "--probes", "random:x"], None),
+        (["ext", "center", "--p", "2", "--spec", "eta:1", "(0 ; t^0)", "--probes", "a,b"], None),
+        (["classify", "poly", "--poly", "x - 1/2", "--place", "p:x"], None),
+        (["classify", "poly", "--poly", "x - 1/0"], None),
+        (["classify", "poly"], None),
+    ],
+    ids=[
+        "spec-missing-file",
+        "spec-bad-json",
+        "spec-block-without-poly",
+        "fingerprint-probes",
+        "center-probes",
+        "poly-place",
+        "poly-zero-denominator",
+        "poly-empty",
+    ],
+)
+def test_bad_input_is_one_error_line(capsys, tmp_path, argv, spec_text):
+    path = tmp_path / "spec.json"
+    if spec_text is not None:
+        path.write_text(spec_text)
+    code, out, err = run(capsys, *(a.replace("{spec}", str(path)) for a in argv))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_state_between_calls(self, capsys):
+        code, out, _ = run(capsys, "series", "intmul", "--p", "5", "--k", "3", "1*t^0 + 1*t^1")
+        assert code == 0 and out == "3*t^0 + 3*t^1\n"
+        code, out, _ = run(capsys, "series", "intmul", "--p", "5", "1*t^0 + 1*t^1")
+        assert code == 0 and out == "1*t^0 + 1*t^1\n"

@@ -14,11 +14,6 @@ from conftest import (
     assert_refines,
     extend,
     known_further,
-    rand_bits,
-    rand_cob_terms,
-    rand_param_seq,
-    rand_series,
-    rand_unit,
     short_series,
     spec_variants,
     sum_specs,
@@ -47,7 +42,8 @@ from congroup.cocycles import (
 )
 from congroup.errors import EmptyWindowWarning, MalformedInput, WindowTooSmall
 from congroup.extensions import ExtElement
-from congroup.series import EXACT, Modulus, make_series, one_term, parse, ring_mul, shift, zero
+from congroup.selftest import rand_bits, rand_cob_terms, rand_param_seq, rand_series, rand_unit
+from congroup.series import EXACT, Modulus, make_series, one_term, parse, ring_mul, zero
 
 F2 = Modulus(2)
 F3 = Modulus(3)
@@ -95,8 +91,8 @@ class TestBasisOmega:
         for _ in range(300):
             ring = rng.choice([F2, F3, F5])
             n = rng.randrange(-3, 4)
-            x = rand_series(rng, ring, exact=True)
-            y = rand_series(rng, ring, exact=True)
+            x = rand_series(rng, ring, lo=-3, span=6, exact=True)
+            y = rand_series(rng, ring, lo=-3, span=6, exact=True)
             got = eval_basis_omega(n, x, y)
             assert got.is_exact
             assert series_map(got) == omega_oracle(n, x, y)
@@ -122,8 +118,8 @@ class TestBasisOmega:
         for _ in range(300):
             ring = rng.choice([F2, F3])
             n = rng.randrange(-3, 4)
-            x = rand_series(rng, ring, exact=True)
-            y = rand_series(rng, ring, exact=True)
+            x = rand_series(rng, ring, lo=-3, span=6, exact=True)
+            y = rand_series(rng, ring, lo=-3, span=6, exact=True)
             assert eval_basis_omega(n, x, y).abs_val().value <= x.abs_val().value
 
 
@@ -156,8 +152,8 @@ class TestEta:
         rng = random.Random(22)
         s = BitSeq((0,) * 5)
         for _ in range(50):
-            x = rand_series(rng, F3)
-            y = rand_series(rng, F3)
+            x = rand_series(rng, F3, lo=-3, span=6)
+            y = rand_series(rng, F3, lo=-3, span=6)
             assert eval_eta(s, x, y).is_zero()
 
     def test_matches_param_representation(self):
@@ -167,8 +163,8 @@ class TestEta:
         entries = {2 * n: one_term(F2, n, s.bit(n)) for n in range(1, 5)}
         a = ParamSeq.from_dict(F2, (-8, 8), entries)
         for _ in range(100):
-            x = rand_series(rng, F2)
-            y = rand_series(rng, F2)
+            x = rand_series(rng, F2, lo=-3, span=6)
+            y = rand_series(rng, F2, lo=-3, span=6)
             assert eval_eta(s, x, y).agree(eval_param_omega(a, x, y))
 
     def test_window_too_small(self):
@@ -185,7 +181,7 @@ class TestEta:
         assert eval_eta(s, one_term(Z4, 0, 3), one_term(Z4, 2, 2)).agree(one_term(Z4, 1, 6))
         rng = random.Random(19)
         for _ in range(50):
-            x, y, z = (rand_series(rng, Z4) for _ in range(3))
+            x, y, z = (rand_series(rng, Z4, lo=-3, span=6) for _ in range(3))
             lhs = eval_eta(s, x + y, z)
             rhs = eval_eta(s, x, z) + eval_eta(s, y, z)
             assert lhs.agree(rhs)
@@ -200,8 +196,8 @@ class TestEta:
             n0 = s.first_set
             if n0 is None:
                 continue
-            x = rand_series(rng, ring, exact=True)
-            y = rand_series(rng, ring, exact=True)
+            x = rand_series(rng, ring, lo=-3, span=6, exact=True)
+            y = rand_series(rng, ring, lo=-3, span=6, exact=True)
             v = eval_eta(s, x, y).abs_val()
             assert not v.exact or v.value <= x.abs_val().value / ring.p**n0
 
@@ -292,7 +288,7 @@ class TestParamOmega:
     def test_probe_recovers_entries(self):
         rng = random.Random(25)
         for _ in range(30):
-            a = rand_param_seq(rng, F3)
+            a = rand_param_seq(rng, F3, half_window=4)
             for m in range(a.lo, a.hi + 1):
                 got = eval_param_omega(a, one_term(F3, 0), one_term(F3, m))
                 assert got == a.entry(m)
@@ -301,17 +297,17 @@ class TestParamOmega:
         rng = random.Random(26)
         a = ParamSeq.from_dict(F2, (-8, 8), {2: one_term(F2, 1)})
         for _ in range(100):
-            x = rand_series(rng, F2)
-            y = rand_series(rng, F2)
+            x = rand_series(rng, F2, lo=-3, span=6)
+            y = rand_series(rng, F2, lo=-3, span=6)
             got = eval_param_omega(a, x, y)
-            want = shift(eval_basis_omega(2, x, y), 1)
+            want = eval_basis_omega(2, x, y).shift(1)
             assert got.agree(want)
 
     def test_second_slot_zero(self):
         rng = random.Random(27)
         for _ in range(30):
-            a = rand_param_seq(rng, F5)
-            x = rand_series(rng, F5)
+            a = rand_param_seq(rng, F5, half_window=4)
+            x = rand_series(rng, F5, lo=-3, span=6)
             assert eval_param_omega(a, x, zero(F5)).is_zero()
 
     def test_window_guard_on_exact_inputs(self):
@@ -332,7 +328,7 @@ class TestCoboundary:
         rng = random.Random(28)
         for _ in range(50):
             terms = rand_cob_terms(rng, F3)
-            x = rand_series(rng, F3)
+            x = rand_series(rng, F3, lo=-3, span=6)
             assert eval_coboundary(terms, x, zero(F3)).is_zero()
 
     def test_symmetric(self):
@@ -340,8 +336,8 @@ class TestCoboundary:
         for _ in range(100):
             ring = rng.choice([F2, F3])
             terms = rand_cob_terms(rng, ring)
-            x = rand_series(rng, ring)
-            y = rand_series(rng, ring)
+            x = rand_series(rng, ring, lo=-3, span=6)
+            y = rand_series(rng, ring, lo=-3, span=6)
             assert eval_coboundary(terms, x, y).agree(eval_coboundary(terms, y, x))
 
     def test_char_two_pointwise_square(self):
@@ -354,8 +350,8 @@ class TestCoboundary:
         for _ in range(200):
             ring = rng.choice([F2, F3, F5])
             terms = rand_cob_terms(rng, ring)
-            x = rand_series(rng, ring)
-            y = rand_series(rng, ring)
+            x = rand_series(rng, ring, lo=-3, span=6)
+            y = rand_series(rng, ring, lo=-3, span=6)
             assert eval_coboundary(terms, x, y).agree(eval_coboundary_direct(terms, x, y))
 
 
@@ -365,8 +361,8 @@ class TestTransformed:
         base = Eta(F2, rand_bits(rng, 5))
         spec = Transformed(base, one_term(F2, 0), one_term(F2, 0), ())
         for _ in range(100):
-            x = rand_series(rng, F2)
-            y = rand_series(rng, F2)
+            x = rand_series(rng, F2, lo=-3, span=6)
+            y = rand_series(rng, F2, lo=-3, span=6)
             assert spec(x, y).agree(base(x, y))
 
     def test_unit_scaling_of_probes(self):
@@ -376,7 +372,7 @@ class TestTransformed:
             s = rand_bits(rng, 4)
             if s.first_set is None:
                 continue
-            a, b = rand_unit(rng, F3), rand_unit(rng, F3)
+            a, b = rand_unit(rng, F3, val_range=(-2, 3)), rand_unit(rng, F3, val_range=(-2, 3))
             spec = Transformed(Eta(F3, s), a, b, ())
             for n in range(1, 5):
                 if not s.bit(n):
@@ -415,13 +411,16 @@ class TestEquivarianceOfAllVariants:
         rng = random.Random(33)
         for ring in (F2, F3):
             for spec in spec_variants(rng, ring) + [BasisOmega(ring, 1)]:
-                pairs = [(rand_series(rng, ring), rand_series(rng, ring)) for _ in range(40)]
+                pairs = [
+                    (rand_series(rng, ring, lo=-3, span=6), rand_series(rng, ring, lo=-3, span=6))
+                    for _ in range(40)
+                ]
                 report = check_equivariance(spec, pairs, range(-3, 4))
                 assert report.ok, f"{spec}: {report.witnesses[0]}"
 
     def test_shifting_one_slot_fails(self):
         # t omega_1(t^0, t^1) = t, but omega_1(t*t^0, t^1) = 0
-        lhs = shift(eval_basis_omega(1, one_term(F2, 0), one_term(F2, 1)), 1)
+        lhs = eval_basis_omega(1, one_term(F2, 0), one_term(F2, 1)).shift(1)
         rhs = eval_basis_omega(1, one_term(F2, 1), one_term(F2, 1))
         assert not lhs.agree(rhs)
 
@@ -432,7 +431,7 @@ class TestCocycleIdentity:
         for ring in (F2, F3):
             for spec in spec_variants(rng, ring) + [BasisOmega(ring, -1)]:
                 triples = [
-                    (rand_series(rng, ring), rand_series(rng, ring), rand_series(rng, ring))
+                    tuple(rand_series(rng, ring, lo=-3, span=6) for _ in range(3))
                     for _ in range(60)
                 ]
                 report = check_cocycle_identity(spec, triples)
@@ -457,7 +456,7 @@ class TestBMap:
     def test_param_round_trip(self):
         rng = random.Random(35)
         for _ in range(20):
-            a = rand_param_seq(rng, F3)
+            a = rand_param_seq(rng, F3, half_window=4)
             back = b_map(ParamOmega(a), (a.lo, a.hi))
             for n in range(a.lo, a.hi + 1):
                 assert back.entry(n) == a.entry(n)
@@ -492,7 +491,7 @@ class TestAntisymmetrize:
         rng = random.Random(37)
         for _ in range(50):
             terms = rand_cob_terms(rng, F3)
-            x, y = rand_series(rng, F3), rand_series(rng, F3)
+            x, y = rand_series(rng, F3, lo=-3, span=6), rand_series(rng, F3, lo=-3, span=6)
             assert antisymmetrize(QuadCoboundary(F3, terms), x, y).is_zero()
 
     def test_eta_probe(self):
@@ -504,7 +503,7 @@ class TestAntisymmetrize:
     def test_diagonal_vanishes(self):
         rng = random.Random(38)
         for spec in spec_variants(rng, F5):
-            x = rand_series(rng, F5)
+            x = rand_series(rng, F5, lo=-3, span=6)
             assert antisymmetrize(spec, x, x).is_zero()
 
     def test_invariant_under_coboundary_shift(self):
@@ -513,7 +512,7 @@ class TestAntisymmetrize:
             s = rand_bits(rng, 5)
             base = Eta(F2, s)
             shifted = Transformed(base, one_term(F2, 0), one_term(F2, 0), rand_cob_terms(rng, F2))
-            x, y = rand_series(rng, F2), rand_series(rng, F2)
+            x, y = rand_series(rng, F2, lo=-3, span=6), rand_series(rng, F2, lo=-3, span=6)
             assert antisymmetrize(base, x, y).agree(antisymmetrize(shifted, x, y))
 
 
@@ -525,8 +524,8 @@ class TestBiadditivity:
                 if isinstance(spec, QuadCoboundary):
                     continue  # coboundaries are quadratic, not biadditive
                 for _ in range(25):
-                    x, x2 = rand_series(rng, ring), rand_series(rng, ring)
-                    y = rand_series(rng, ring)
+                    x, x2 = rand_series(rng, ring, lo=-3, span=6), rand_series(rng, ring, lo=-3, span=6)
+                    y = rand_series(rng, ring, lo=-3, span=6)
                     left = spec(x + x2, y)
                     split = spec(x, y) + spec(x2, y)
                     assert left.agree(split)

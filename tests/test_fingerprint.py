@@ -5,8 +5,6 @@ import random
 
 import pytest
 
-from conftest import rand_bits, rand_cob_terms, rand_unit
-
 from congroup.cocycles import BasisOmega, BitSeq, Eta, Transformed
 from congroup.errors import SpecMismatch, WindowTooSmall
 from congroup.fingerprint import (
@@ -15,6 +13,7 @@ from congroup.fingerprint import (
     fingerprint,
     recover_bits,
 )
+from congroup.selftest import rand_bits, rand_cob_terms, rand_unit
 from congroup.series import Modulus, make_series, one_term
 
 F2 = Modulus(2)
@@ -71,7 +70,9 @@ class TestDeltaProfile:
         rng = random.Random(81)
         for _ in range(20):
             s = rand_bits(rng, 5)
-            spec = Transformed(Eta(F3, s), rand_unit(rng, F3), rand_unit(rng, F3), ())
+            spec = Transformed(
+                Eta(F3, s), rand_unit(rng, F3, val_range=(-2, 3)), rand_unit(rng, F3, val_range=(-2, 3)), ()
+            )
             canonical = recover_bits(delta_profile(spec, 5))
             randomized = recover_bits(delta_profile(spec, 5, probes=random.Random(123), trials=3))
             assert canonical.status == randomized.status
@@ -113,8 +114,8 @@ class TestRecoverBits:
             s = rand_bits(rng, 8)
             spec = Transformed(
                 Eta(ring, s),
-                rand_unit(rng, ring),
-                rand_unit(rng, ring),
+                rand_unit(rng, ring, val_range=(-2, 3)),
+                rand_unit(rng, ring, val_range=(-2, 3)),
                 rand_cob_terms(rng, ring, max_terms=3),
             )
             got, _ = fingerprint(spec, 8)
@@ -130,7 +131,9 @@ class TestRecoverBits:
             s = rand_bits(rng, 6)
             if s.first_set is None:
                 continue
-            spec = Transformed(Eta(F2, s), rand_unit(rng, F2), rand_unit(rng, F2), ())
+            spec = Transformed(
+                Eta(F2, s), rand_unit(rng, F2, val_range=(-2, 3)), rand_unit(rng, F2, val_range=(-2, 3)), ()
+            )
             got, prof = fingerprint(spec, 6)
             assert got.status == "OK"
             for e, bit in zip(prof.entries, got.bits.bits):
@@ -156,7 +159,8 @@ class TestEquivalence:
         rng = random.Random(85)
         s = rand_bits(rng, 5)
         base = Eta(F2, s)
-        spec = Transformed(base, rand_unit(rng, F2), rand_unit(rng, F2), rand_cob_terms(rng, F2))
+        a, b = rand_unit(rng, F2, val_range=(-2, 3)), rand_unit(rng, F2, val_range=(-2, 3))
+        spec = Transformed(base, a, b, rand_cob_terms(rng, F2))
         assert equivalent_on_window(base, spec, 5).verdict == "SAME_WINDOW"
 
     def test_self_comparison(self):
