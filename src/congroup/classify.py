@@ -328,7 +328,7 @@ def omega_p_contractive(f: RationalPoly, p: int) -> bool:
     function to positive (hence >= 1, integrality on Q) valuation, and
     conversely such coefficients give a strictly descending lower Newton
     polygon, so every root valuation is positive."""
-    if not isinstance(p, int) or p < 2:
+    if not isinstance(p, int) or not _is_prime(p):
         raise BadParams(f"p = {p!r} is not a prime")
     return all(_val_p(c, p) >= 1 for c in f.coeffs)
 

@@ -15,17 +15,23 @@ satisfies the 2-cocycle identity.  Evaluation tracks per-coefficient
 knownness from the index conditions only: the output coefficient at degree d
 is stored iff every contributing (bit, input coefficient) is inside the
 declared windows.
+
+Every sum of basis omegas (``ParamOmega``, the quadratic potential, its
+coboundary and the coboundary part of ``Transformed``) goes through one
+evaluation kernel, :func:`_bilinear`, which works on raw (start, residues,
+prec) triples and builds one series for the whole sum; omega_n's window and
+precision are stated once, in :func:`_omega`, which ``BasisOmega`` shares.
 """
 
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import EmptyWindowWarning, MalformedInput, RingMismatch, WindowTooSmall
-from .series import EXACT, Modulus, TruncSeries, _sum, one_term, ring_mul, zero
+from .series import EXACT, Modulus, TruncSeries, one_term, ring_mul, zero
 
 
 @dataclass(frozen=True)
@@ -122,36 +128,47 @@ class ParamSeq:
 # -- pointwise evaluations ---------------------------------------------------
 
 
-def eval_basis_omega(n: int, x: TruncSeries, y: TruncSeries) -> TruncSeries:
-    """omega_n(x, y): coefficient at i is x_i * y_{i+n}.
+def _omega(n: int, x: TruncSeries, y: TruncSeries) -> tuple[int, list[int], int | None]:
+    """omega_n(x, y) as a raw triple ``(lo, products, prec)``: products[i] is
+    the unreduced x_{lo+i} y_{lo+i+n}, and every known coefficient past the
+    list is zero.  The one place that states omega_n's window and precision.
 
     Coefficient i is known iff i < prec_x and i + n < prec_y; exact inputs
-    give an exact value (in particular an exact zero input annihilates).  An
-    empty known window returns the zero at the sound precision, silently;
-    :func:`evaluate` is where that is reported."""
+    give an exact value, ``(0, [], EXACT)`` for the exact zero, and an empty
+    known window gives ``(prec, [], prec)``."""
+    xs, ys, x_prec, y_prec = x.coeffs, y.coeffs, x.prec, y.prec
+    if (x_prec is EXACT and not xs) or (y_prec is EXACT and not ys):
+        return 0, [], EXACT
+    sx, sy = x.start, y.start - n
+    lo = sx if sx > sy else sy
+    if x_prec is EXACT and y_prec is EXACT:
+        prec = EXACT
+        hi = min(sx + len(xs), sy + len(ys))
+    else:
+        if y_prec is EXACT or (x_prec is not EXACT and x_prec <= y_prec - n):
+            prec = x_prec
+        else:
+            prec = y_prec - n
+        hi = prec
+    if hi <= lo:
+        return (0, [], EXACT) if prec is EXACT else (prec, [], prec)
+    # lo >= start_x and lo >= start_y - n; a slice of an exact input ends at
+    # its last stored residue and zip stops there, the zeros past it
+    # contribute nothing
+    return lo, [a * b for a, b in zip(xs[lo - sx : hi - sx], ys[lo - sy : hi - sy])], prec
+
+
+def eval_basis_omega(n: int, x: TruncSeries, y: TruncSeries) -> TruncSeries:
+    """omega_n(x, y): coefficient at i is x_i * y_{i+n}, known iff i < prec_x
+    and i + n < prec_y (see :func:`_omega`).  An empty known window returns
+    the zero at the sound precision, silently; :func:`evaluate` is where that
+    is reported."""
     if x.ring is not y.ring:
         x._check_ring(y)
-    if (x.prec is EXACT and not x.coeffs) or (y.prec is EXACT and not y.coeffs):
-        return zero(x.ring)
-    lo = max(x.start, y.start - n)
-    bounds = []
-    if x.prec is not EXACT:
-        bounds.append(x.prec)
-    if y.prec is not EXACT:
-        bounds.append(y.prec - n)
-    if not bounds:
-        prec = EXACT
-        hi = max(lo, min(x.start + len(x.coeffs), y.start + len(y.coeffs) - n))
-    else:
-        prec = hi = min(bounds)
-        if prec <= lo:
-            return zero(x.ring, prec)
-    # lo >= start_x and lo + n >= start_y; a slice of an exact input ends at
-    # its last stored residue and zip stops there, the zeros past it
-    # contribute nothing, and construction fills the window up to prec
-    xs = x.coeffs[lo - x.start : hi - x.start]
-    ys = y.coeffs[lo + n - y.start : hi + n - y.start]
-    return TruncSeries(x.ring, lo, [a * b for a, b in zip(xs, ys)], prec)
+    lo, cs, prec = _omega(n, x, y)
+    if not cs:
+        return zero(x.ring, prec)
+    return TruncSeries(x.ring, lo, cs, prec)
 
 
 def eval_eta(s: BitSeq, x: TruncSeries, y: TruncSeries) -> TruncSeries:
@@ -173,7 +190,7 @@ def eval_eta(s: BitSeq, x: TruncSeries, y: TruncSeries) -> TruncSeries:
     L = s.window
     ones = s._ones
     lo = max(sx + 1, -((-(sx + sy)) // 2))
-    d, cs = lo, []
+    d = lo
     while True:
         n_min = max(1, sy - d)
         n_max = d - sx
@@ -183,21 +200,119 @@ def eval_eta(s: BitSeq, x: TruncSeries, y: TruncSeries) -> TruncSeries:
             break
         if y_prec is not EXACT and d + n_max >= y_prec:
             break
-        # only the set bits with d - n and d + n inside the stored ranges
-        # contribute; past them an exact input is zero
-        first = bisect_left(ones, max(n_min, d - x_end + 1))
-        last = bisect_right(ones, min(n_max, y_end - 1 - d))
-        a, b = d - sx, d - sy
-        cs.append(sum([xs[a - n] * ys[b + n] for n in ones[first:last]]))
         d += 1
     if d <= lo:
         return zero(x.ring, d)
+    # every degree in [lo, d) is known; bit n adds x_{e-n} y_{e+n} at each
+    # degree e with both indices inside the stored ranges (past them an exact
+    # input is zero), a slice of degrees per bit
+    cs = [0] * (d - lo)
+    for n in ones:
+        e0 = max(lo, sx + n, sy - n)
+        e1 = min(d, x_end + n, y_end - n)
+        if e0 < e1:
+            products = map(mul, xs[e0 - n - sx : e1 - n - sx], ys[e0 + n - sy : e1 + n - sy])
+            cs[e0 - lo : e1 - lo] = map(add, cs[e0 - lo : e1 - lo], products)
     return TruncSeries(x.ring, lo, cs, d)
+
+
+def _bilinear(
+    terms: Iterable[tuple[int, TruncSeries]],
+    x: TruncSeries,
+    y: TruncSeries,
+    cob: bool = False,
+    lead: TruncSeries | None = None,
+) -> TruncSeries:
+    """The evaluation kernel of every sum of basis omegas: ``lead`` (when
+    given) plus sum_k u_k w_k, with w_k = omega_k(x, y), or with ``cob`` the
+    coboundary's -(omega_k(x, y) + omega_k(y, x)).
+
+    Works on raw ``(start, residues, prec)`` triples and builds one series at
+    the end, equal bit for bit to ``_sum`` of ``lead`` and the products
+    ``ring_mul(u_k, w_k)``, with w_k the omega or the symmetrized pair and
+    the products negated for ``cob``.  As in ``ring_mul``, the product u w is
+    known below min(prec_u + start_w, prec_w + start_u), where start_w is
+    the canonical start of w: its first residue nonzero mod q, or prec_w
+    when there is none.  A w that is an exact zero mod q, or an exact zero
+    u, makes the product the exact zero, which bounds nothing."""
+    ring = x.ring
+    q = ring.q
+    prec = EXACT if lead is None else lead.prec
+    parts = []  # (start, residues of u, residues of w from its canonical start)
+    for k, u in terms:
+        us, u_start, u_prec = u.coeffs, u.start, u.prec
+        if u.ring is not ring and u.ring != ring:
+            raise RingMismatch(f"{u.ring} vs {ring}")
+        if u_prec is EXACT and not us:
+            continue
+        if cob:
+            w_lo, ws, w_prec = _add_raw(_omega(k, x, y), _omega(k, y, x))
+        else:
+            w_lo, ws, w_prec = _omega(k, x, y)
+        # a symmetrized pair may hold residues past prec_w; a start found
+        # there exceeds prec_w, where prec_u + start_w >= prec_w + start_u
+        # cannot bind, and the products it gives land past the prec
+        i = 0
+        while i < len(ws) and not ws[i] % q:
+            i += 1
+        if i == len(ws):
+            if w_prec is EXACT:
+                continue
+            w_start, ws = w_prec, ()
+        else:
+            w_start, ws = w_lo + i, ws[i:]
+        if u_prec is not EXACT and (prec is EXACT or u_prec + w_start < prec):
+            prec = u_prec + w_start
+        if w_prec is not EXACT and (prec is EXACT or w_prec + u_start < prec):
+            prec = w_prec + u_start
+        if ws and us:
+            parts.append((u_start + w_start, us, ws))
+    if lead is not None and lead.coeffs:
+        # -(-lead + sum) for cob, so the one negation below restores it
+        parts.append((lead.start, (-1 if cob else 1,), lead.coeffs))
+    if prec is EXACT:
+        if not parts:
+            return ring._zero
+        lo = min([d for d, _, _ in parts])
+        hi = max([d + len(us) + len(ws) - 1 for d, us, ws in parts])
+    else:
+        lo = min([d for d, _, _ in parts] + [prec])
+        hi = prec
+    n = hi - lo
+    cs = [0] * n
+    for start, us, ws in parts:
+        for i, a in enumerate(us, start - lo):
+            if i >= n:
+                break
+            for j, b in enumerate(ws[: n - i], i):
+                cs[j] += a * b
+    if cob:
+        cs = [-c for c in cs]
+    return TruncSeries(ring, lo, cs, prec)
+
+
+def _add_raw(v: tuple[int, list[int], int | None], w: tuple[int, list[int], int | None]) -> tuple[int, list[int], int | None]:
+    """The sum of two raw omega triples, at the lesser precision (an exact
+    one bounds nothing); residues past that precision are kept."""
+    (v_lo, vs, v_prec), (w_lo, ws, w_prec) = v, w
+    prec = w_prec if v_prec is EXACT or (w_prec is not EXACT and w_prec < v_prec) else v_prec
+    if not ws:
+        return v_lo, vs, prec
+    if not vs:
+        return w_lo, ws, prec
+    lo = min(v_lo, w_lo)
+    cs = [0] * (max(v_lo + len(vs), w_lo + len(ws)) - lo)
+    for i, c in enumerate(vs, v_lo - lo):
+        cs[i] = c
+    for i, c in enumerate(ws, w_lo - lo):
+        cs[i] += c
+    return lo, cs, prec
 
 
 def eval_param_omega(a: ParamSeq, x: TruncSeries, y: TruncSeries) -> TruncSeries:
     """omega_a(x, y) = sum over the stored window of a_n * omega_n(x, y),
-    the terms added by one summation (a single construction for the sum).
+    computed by the one evaluation kernel (a single construction for the
+    whole sum).
 
     For exact inputs the index range of basis terms that could be nonzero is
     [start_y - end_x, end_y - start_x]; if it leaves the window the result
@@ -216,28 +331,21 @@ def eval_param_omega(a: ParamSeq, x: TruncSeries, y: TruncSeries) -> TruncSeries
                 f" stored [{a.lo}, {a.hi}]",
                 needed=(need_lo, need_hi),
             )
-    return _sum(a.ring, [ring_mul(a_n, eval_basis_omega(n, x, y)) for n, a_n in a.entries])
+    return _bilinear(a.entries, x, y)
 
 
 def coboundary_potential(terms: Sequence[tuple[int, TruncSeries]], x: TruncSeries) -> TruncSeries:
     """f(x) = sum_k u_k omega_k(x, x); continuous, equivariant, f(0) = 0."""
-    return _sum(x.ring, [ring_mul(u, eval_basis_omega(k, x, x)) for k, u in terms])
-
-
-def _coboundary_terms(terms: Sequence[tuple[int, TruncSeries]], x: TruncSeries, y: TruncSeries) -> list[TruncSeries]:
-    """The products u_k (omega_k(x,y) + omega_k(y,x)), one per term.  Each
-    symmetrized pair is added before its product: its canonical start sets
-    the product's precision bound."""
-    return [ring_mul(u, eval_basis_omega(k, x, y) + eval_basis_omega(k, y, x)) for k, u in terms]
+    return _bilinear(terms, x, x)
 
 
 def eval_coboundary(terms: Sequence[tuple[int, TruncSeries]], x: TruncSeries, y: TruncSeries) -> TruncSeries:
     """The coboundary f(x) + f(y) - f(x+y) of the quadratic potential,
-    computed through its bilinear expansion -sum_k u_k (omega_k(x,y) + omega_k(y,x)):
-    the products are negated and added by one summation, a single
-    construction for the whole sum."""
+    computed through its bilinear expansion -sum_k u_k (omega_k(x,y) + omega_k(y,x))
+    by the one evaluation kernel in its coboundary form (a single
+    construction for the whole sum)."""
     x._check_ring(y)
-    return _sum(x.ring, _coboundary_terms(terms, x, y), negate=True)
+    return _bilinear(terms, x, y, cob=True)
 
 
 def eval_coboundary_direct(terms: Sequence[tuple[int, TruncSeries]], x: TruncSeries, y: TruncSeries) -> TruncSeries:
@@ -317,7 +425,10 @@ class QuadCoboundary(Cocycle):
 @dataclass(frozen=True)
 class Transformed(Cocycle):
     """a * base(b x, b y) + coboundary, the orbit of ``base`` under
-    multiplication automorphisms and coboundary shifts."""
+    multiplication automorphisms and coboundary shifts.  The coboundary
+    terms are added to the scaled base value by the one evaluation kernel,
+    with that value as its leading part (a single construction for the
+    sum)."""
 
     base: Cocycle
     a_unit: TruncSeries
@@ -344,8 +455,8 @@ class Transformed(Cocycle):
         out = ring_mul(self.a_unit, self.base(bx, by))
         if not self.cob:
             return out
-        # out + eval_coboundary(cob, x, y) as one sum: -(-out + sum of terms)
-        return _sum(out.ring, [-out] + _coboundary_terms(self.cob, x, y), negate=True)
+        # out + eval_coboundary(cob, x, y): out minus the symmetrized terms
+        return _bilinear(self.cob, x, y, cob=True, lead=out)
 
 
 EvalTarget = Cocycle | Callable[[TruncSeries, TruncSeries], TruncSeries]

@@ -540,7 +540,7 @@ def parse(ring: Modulus, text: str) -> TruncSeries:
 
 def _parse_int(text: str, pos: int) -> int:
     tidy = text[1:] if text[:1] == "-" else text
-    if not tidy.isdigit():
+    if not tidy.isdecimal():
         raise SeriesSyntaxError(f"expected integer, got {text!r}", pos)
     return int(text)
 
@@ -552,7 +552,7 @@ def _parse_term(ring: Modulus, token: str, pos: int) -> tuple[int, int]:
     if star < 0:
         raise SeriesSyntaxError(f"malformed term {token!r}", pos)
     coeff_text = token[:star]
-    if not coeff_text.isdigit():
+    if not coeff_text.isdecimal():
         raise SeriesSyntaxError(f"coefficient must be a decimal residue, got {coeff_text!r}", pos)
     c = int(coeff_text)
     if c >= ring.q:

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from congroup.cocycles import BasisOmega, BitSeq, Eta, ParamSeq, ParamOmega, QuadCoboundary, Transformed
+from congroup.cocycles import BasisOmega, BitSeq, Eta, ParamSeq, ParamOmega, QuadCoboundary, Transformed, eval_basis_omega
 from congroup.selftest import rand_bits, rand_cob_terms, rand_param_seq, rand_unit
-from congroup.series import EXACT, Modulus, TruncSeries, make_series
+from congroup.series import EXACT, Modulus, TruncSeries, _sum, make_series, ring_mul
 
 # Property tests draw the same examples on every run (no example database,
 # no wall-clock deadline), so the suite's verdict never depends on the run.
@@ -126,23 +126,64 @@ def sum_specs(ring):
     )
 
 
+# -- the evaluation kernel's reference ---------------------------------------------
+
+
+def composed_bilinear(terms, x, y, cob=False, lead=None):
+    """What ``cocycles._bilinear`` computes, by the composed path it replaced:
+    one series per basis omega (and per symmetrized pair), one per product
+    u_k w_k, and one summation with ``lead``, negated for ``cob``."""
+
+    def w(k):
+        if cob:
+            return eval_basis_omega(k, x, y) + eval_basis_omega(k, y, x)
+        return eval_basis_omega(k, x, y)
+
+    products = [ring_mul(u, w(k)) for k, u in terms]
+    if lead is not None:
+        products.insert(0, -lead if cob else lead)
+    return _sum(x.ring, products, negate=cob)
+
+
+KERNEL_RINGS = (Modulus(2), Modulus(2, 2), Modulus(3, 2), Modulus(5))
+
+
+@st.composite
+def multiple_heavy_series(draw, ring, starts=(-4, 4), max_len=6):
+    """Like short_series, with half the residues multiples of p, so products
+    of them (2 * 2 over Z/4, 3 * 3 over Z/9) often vanish mod q."""
+    start = draw(st.integers(*starts))
+    n = draw(st.integers(0, max_len))
+    residue = st.one_of(st.sampled_from(range(0, ring.q, ring.p)), st.integers(0, ring.q - 1))
+    cs = draw(st.lists(residue, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        return make_series(ring, start, cs)
+    return make_series(ring, start, cs, start + n + draw(st.integers(0, 3)))
+
+
 # -- construction counts -----------------------------------------------------------
 
 
 @pytest.fixture
 def count_constructions(monkeypatch):
-    """count(f, *args): how many times f(*args) runs TruncSeries.__init__."""
-    init = TruncSeries.__init__
+    """count(f, *args): how many series f(*args) builds, through
+    TruncSeries.__init__ or TruncSeries._canonical."""
+    init, canonical = TruncSeries.__init__, TruncSeries._canonical.__func__
     calls = [0]
 
-    def counting(self, *args):
+    def counting_init(self, *args):
         calls[0] += 1
         init(self, *args)
+
+    def counting_canonical(cls, *args):
+        calls[0] += 1
+        return canonical(cls, *args)
 
     def count(f, *args):
         calls[0] = 0
         f(*args)
         return calls[0]
 
-    monkeypatch.setattr(TruncSeries, "__init__", counting)
+    monkeypatch.setattr(TruncSeries, "__init__", counting_init)
+    monkeypatch.setattr(TruncSeries, "_canonical", classmethod(counting_canonical))
     return count

@@ -304,6 +304,11 @@ class TestOmegaP:
         assert omega_p_contractive(parse_poly("x - 2/3"), 2)
         assert not omega_p_contractive(parse_poly("x - 3/2"), 2)
 
+    def test_rejects_composite_place(self):
+        for p in (1, 4, 9, 2**61 + 1):
+            with pytest.raises(BadParams, match="not a prime"):
+                omega_p_contractive(parse_poly("x - 1/2"), p)
+
     def test_against_companion_oracle(self):
         rng = random.Random(106)
         for _ in range(500):

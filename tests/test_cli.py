@@ -28,8 +28,10 @@ class TestSeriesCommand:
         assert code == 0 and out.strip() == "|x| = 3^2"
 
     def test_bad_series_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "series", "add", "--p", "2", "nope", "0")
-        assert code == 1 and "series :=" in err
+        # a superscript digit passes str.isdigit but not int()
+        for text in ("nope", "t^\u00b2"):
+            code, _, err = run(capsys, "series", "add", "--p", "2", text, "0")
+            assert code == 1 and "series :=" in err
 
     def test_bad_flag_exit_one(self, capsys):
         code, _, _ = run(capsys, "series", "frobnicate", "--p", "2", "0")
@@ -257,6 +259,7 @@ NO_POLY_SPEC = json.dumps({"format": 1, "blocks": [{"place": "inf", "n": 1, "mul
         (["fingerprint", "--p", "2", "--spec", "eta:1101", "--window", "4", "--probes", "random:x"], None),
         (["ext", "center", "--p", "2", "--spec", "eta:1", "(0 ; t^0)", "--probes", "a,b"], None),
         (["classify", "poly", "--poly", "x - 1/2", "--place", "p:x"], None),
+        (["classify", "poly", "--poly", "x - 1/2", "--place", "p:4"], None),
         (["classify", "poly", "--poly", "x - 1/0"], None),
         (["classify", "poly"], None),
     ],
@@ -267,6 +270,7 @@ NO_POLY_SPEC = json.dumps({"format": 1, "blocks": [{"place": "inf", "n": 1, "mul
         "fingerprint-probes",
         "center-probes",
         "poly-place",
+        "poly-place-composite",
         "poly-zero-denominator",
         "poly-empty",
     ],

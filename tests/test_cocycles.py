@@ -10,10 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    KERNEL_RINGS,
     SOUNDNESS_RINGS,
     assert_refines,
+    composed_bilinear,
     extend,
     known_further,
+    multiple_heavy_series,
     short_series,
     spec_variants,
     sum_specs,
@@ -29,6 +32,7 @@ from congroup.cocycles import (
     ParamSeq,
     QuadCoboundary,
     Transformed,
+    _bilinear,
     antisymmetrize,
     b_map,
     check_cocycle_identity,
@@ -46,6 +50,7 @@ from congroup.selftest import rand_bits, rand_cob_terms, rand_param_seq, rand_se
 from congroup.series import EXACT, Modulus, make_series, one_term, parse, ring_mul, zero
 
 F2 = Modulus(2)
+Z4 = Modulus(2, 2)
 F3 = Modulus(3)
 F5 = Modulus(5)
 
@@ -277,11 +282,42 @@ class TestEvaluatorOracles:
         assert_refines(before, spec(x2, y2))
 
     def test_sum_construction_count(self, count_constructions):
-        # one construction per basis term, one per product and one for the
-        # whole sum: 3 x 2 + 1
+        # the kernel builds the whole sum once: no series per basis term or
+        # per product
         spec = ParamOmega(ParamSeq.from_dict(F3, (-1, 1), {-1: one_term(F3, 0), 0: one_term(F3, 1, 2), 1: parse(F3, "1*t^0 + 1*t^1")}))
         x, y = parse(F3, "1*t^0 + 2*t^1 + 1*t^2 + O(t^6)"), parse(F3, "2*t^0 + 1*t^1 + 1*t^3 + O(t^7)")
-        assert count_constructions(spec, x, y) == 7
+        assert count_constructions(spec, x, y) == 1
+
+
+class TestEvaluationKernel:
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_matches_composed_path(self, data):
+        # value, start and prec bit for bit, plain and in the coboundary form,
+        # with truncated units, vanishing omegas and an optional leading part
+        ring = data.draw(st.sampled_from(KERNEL_RINGS))
+        x, y = data.draw(multiple_heavy_series(ring)), data.draw(multiple_heavy_series(ring))
+        term = st.tuples(st.integers(-3, 3), multiple_heavy_series(ring, starts=(-2, 2), max_len=3))
+        terms = tuple(data.draw(st.lists(term, max_size=4)))
+        cob = data.draw(st.booleans())
+        lead = data.draw(st.none() | multiple_heavy_series(ring))
+        assert _bilinear(terms, x, y, cob, lead) == composed_bilinear(terms, x, y, cob, lead)
+
+    def test_bound_uses_canonical_start(self):
+        # omega_0(x, x) = 4 + 1 t = 1 t over Z/4 starts at 1, so the
+        # truncated unit gives the product the bound prec_u + 1 = 2
+        x = parse(Z4, "2*t^0 + 1*t^1")
+        u = parse(Z4, "1*t^0 + O(t^1)")
+        assert _bilinear(((0, u),), x, x) == parse(Z4, "1*t^1 + O(t^2)")
+
+    def test_vanishing_omega_bounds_nothing(self):
+        # an exact omega (or symmetrized pair) that is zero mod q makes the
+        # product the exact zero, whatever the precision of the unit
+        u = parse(Z4, "1*t^0 + O(t^2)")
+        x = parse(Z4, "2*t^0")
+        assert _bilinear(((0, u),), x, x) == zero(Z4)
+        y = parse(F2, "1*t^0 + 1*t^1")
+        assert _bilinear(((0, parse(F2, "1*t^0 + O(t^3)")),), y, y, cob=True) == zero(F2)
 
 
 class TestParamOmega:

@@ -6,11 +6,14 @@ import random
 from functools import reduce
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import short_series
 
 from congroup import series
 from congroup.errors import (
+    CongroupError,
     InsufficientPrecision,
     MalformedInput,
     RingMismatch,
@@ -32,6 +35,13 @@ F2 = Modulus(2)
 F3 = Modulus(3)
 Z4 = Modulus(2, 2)
 Z9 = Modulus(3, 2)
+
+#: Every ring the suite builds series over.
+GRAMMAR_RINGS = (F2, F3, Z4, Z9, Modulus(5), Modulus(3, 4), Modulus(65537), Modulus(65537, 3), Modulus(2**61 - 1))
+
+#: The grammar's characters, a letter and digits that ``str.isdigit``
+#: accepts but ``int`` does not (or only as a Unicode digit).
+NEAR_GRAMMAR = "0123456789 +-*^tO()x\u00b2\uff11"
 
 
 def rand_series(rng, ring, lo=-4, width=8, exact=False):
@@ -525,8 +535,34 @@ class TestGrammar:
             x = rand_series(rng, ring, exact=rng.random() < 0.5)
             assert parse(ring, format_series(x)) == x
 
+    @given(st.data())
+    def test_parse_inverts_format(self, data):
+        ring = data.draw(st.sampled_from(GRAMMAR_RINGS))
+        x = data.draw(short_series(ring, starts=(-40, 40), max_len=12))
+        assert parse(ring, format_series(x)) == x
+
+    @settings(max_examples=500)
+    @given(st.data())
+    def test_bad_text_raises_only_congroup_errors(self, data):
+        # formatted series with 1-3 characters inserted, deleted or
+        # replaced, and arbitrary text: parse returns a series that formats
+        # back to itself, or raises a CongroupError, never anything else
+        ring = data.draw(st.sampled_from(GRAMMAR_RINGS))
+        text = format_series(data.draw(short_series(ring)))
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, len(text)))
+            edit = data.draw(st.sampled_from(("insert", "delete", "replace")))
+            c = "" if edit == "delete" else data.draw(st.sampled_from(NEAR_GRAMMAR))
+            text = text[:i] + c + text[i + (edit != "insert") :]
+        for t in (text, data.draw(st.text(max_size=24))):
+            try:
+                x = parse(ring, t)
+            except CongroupError:
+                continue
+            assert parse(ring, format_series(x)) == x
+
     def test_syntax_errors_carry_position(self):
-        for bad in ["", "1*t^", "t^2 + t^1", "t^2 + t^2", "5*t^0", "1*t^1 + O(t^1)", "O(t^2) + t^3"]:
+        for bad in ["", "1*t^", "t^2 + t^1", "t^2 + t^2", "5*t^0", "1*t^1 + O(t^1)", "O(t^2) + t^3", "t^\u00b2", "\u00b2*t^0"]:
             with pytest.raises(SeriesSyntaxError):
                 parse(F3, bad)
 
